@@ -48,6 +48,10 @@ from .templates import (
 
 logger = logging.getLogger(__name__)
 
+# Prompts rendered per worker in one batch of annotate_dataset: the
+# batch's requests are collected before the next batch is rendered.
+_PROMPTS_PER_WORKER = 64
+
 
 class SchemaMode(str, Enum):
     CONSTRAINED = "constrained"
@@ -123,27 +127,61 @@ def trace_record(trace: Trace, aset: AnnotationSet) -> dict:
     }
 
 
+class CacheError(OSError):
+    """A trace cache line other than the last one cannot be read."""
+
+
 class TraceCache:
-    """Append-only JSONL store of completed examples, keyed by prompt hash."""
+    """Append-only JSONL store of completed examples, keyed by prompt hash.
+
+    Every record is appended together with its newline, so a final line
+    without one was cut short by a kill mid-append. Loading truncates
+    that line away and its example is annotated again; a malformed
+    complete line raises CacheError.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._records: dict[str, dict] = {}
-        if self.path.exists():
-            with open(self.path, encoding="utf-8") as handle:
-                for line in handle:
-                    if line.strip():
-                        record = json.loads(line)
-                        self._records[record["key"]] = record
+        if not self.path.exists():
+            return
+        kept = 0
+        torn = b""
+        with open(self.path, "rb") as handle:
+            for number, line in enumerate(handle, start=1):
+                if not line.endswith(b"\n"):
+                    torn = line
+                    break
+                kept += len(line)
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                    self._records[record["key"]] = record
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise CacheError(
+                        f"{self.path}: line {number} is not a cache record ({exc}); "
+                        "remove the line or the file to re-annotate"
+                    ) from exc
+        if torn:
+            logger.warning(
+                "%s: dropping a torn final line of %d bytes", self.path, len(torn)
+            )
+            with open(self.path, "r+b") as handle:
+                handle.truncate(kept)
 
     def get(self, key: str) -> dict | None:
+        """The record stored under key when the cache was opened.
+
+        Records put since are not returned, so a run's lookups do not
+        depend on how far its own writes have got.
+        """
         return self._records.get(key)
 
     def put(self, key: str, record: dict) -> None:
         record = {"key": key, **record}
         with self._lock:
-            self._records[key] = record
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8", newline="\n") as handle:
                 handle.write(json.dumps(record, ensure_ascii=False) + "\n")
@@ -166,17 +204,23 @@ def annotate_example(
     dataset: Dataset,
     config: AnnotatorConfig,
     adapter: ProviderAdapter,
-    template: PromptTemplate | None = None,
+    prompt: str | None = None,
 ) -> tuple[AnnotationSet, Trace]:
     """Annotate one example: prompt, complete, ground, normalize.
 
     Malformed output (no JSON, wrong payload shape) is retried with the
     identical prompt up to config.max_retries attempts; exhaustion
     yields an empty set flagged failed. Raises ProviderError only when
-    every attempt failed at the transport level.
+    every attempt failed at the transport level. ``prompt`` is the
+    already rendered prompt, if the caller has it.
     """
-    template = template or _template_for(example.task, dataset, config)
-    prompt = render_prompt(template, example, dataset.categories, dataset.guidelines)
+    if prompt is None:
+        prompt = render_prompt(
+            _template_for(example.task, dataset, config),
+            example,
+            dataset.categories,
+            dataset.guidelines,
+        )
     schema = (
         build_annotation_schema(config.variant is not PromptVariant.NOREASON)
         if config.schema_mode is SchemaMode.CONSTRAINED
@@ -314,42 +358,45 @@ def annotate_dataset(
     cache = TraceCache(cache_path) if cache_path is not None else None
     templates: dict[str, PromptTemplate] = {}
     results: dict[str, tuple[AnnotationSet, Trace]] = {}
-    pending: list[tuple[Example, str, PromptTemplate]] = []
 
-    for example in sorted(dataset.examples, key=lambda e: e.id):
-        if example.task not in templates:
-            templates[example.task] = _template_for(example.task, dataset, config)
-        template = templates[example.task]
-        prompt = render_prompt(
-            template, example, dataset.categories, dataset.guidelines
-        )
-        key = cache_key(config, prompt)
-        cached = cache.get(key) if cache is not None else None
-        if cached is not None and not cached.get("failed"):
-            results[example.id] = _set_from_record(example.id, cached)
-        else:
-            pending.append((example, key, template))
-
-    def work(item: tuple[Example, str, PromptTemplate]) -> tuple[str, AnnotationSet, Trace, str]:
-        example, key, template = item
+    def work(example: Example, prompt: str) -> tuple[AnnotationSet, Trace]:
         try:
-            aset, trace = annotate_example(example, dataset, config, adapter, template)
+            return annotate_example(example, dataset, config, adapter, prompt)
         except ProviderError as exc:
             logger.warning("example %s failed: %s", example.id, exc)
-            aset = AnnotationSet(example.id)
-            trace = Trace(
+            return AnnotationSet(example.id), Trace(
                 example_id=example.id,
                 model_id=config.model_id,
                 variant=config.variant.value,
                 retries=config.max_retries,
                 failed=True,
             )
-        return example.id, aset, trace, key
 
-    if pending:
-        with ThreadPoolExecutor(max_workers=config.concurrency_limit) as pool:
-            for example_id, aset, trace, key in pool.map(work, pending):
-                results[example_id] = (aset, trace)
+    # Batches bound the rendered prompts held at once, so memory does not
+    # grow with the number of pending examples. Rendering a batch before
+    # submitting it keeps the main thread off the interpreter lock while
+    # the workers run.
+    examples = sorted(dataset.examples, key=lambda e: e.id)
+    batch = _PROMPTS_PER_WORKER * config.concurrency_limit
+    with ThreadPoolExecutor(max_workers=config.concurrency_limit) as pool:
+        for start in range(0, len(examples), batch):
+            pending: list[tuple[Example, str, str]] = []
+            for example in examples[start : start + batch]:
+                if example.task not in templates:
+                    templates[example.task] = _template_for(example.task, dataset, config)
+                prompt = render_prompt(
+                    templates[example.task], example, dataset.categories, dataset.guidelines
+                )
+                key = cache_key(config, prompt)
+                cached = cache.get(key) if cache is not None else None
+                if cached is not None and not cached.get("failed"):
+                    results[example.id] = _set_from_record(example.id, cached)
+                else:
+                    pending.append((example, key, prompt))
+            futures = [pool.submit(work, example, prompt) for example, _, prompt in pending]
+            for (example, key, _), future in zip(pending, futures):
+                aset, trace = future.result()
+                results[example.id] = (aset, trace)
                 if cache is not None:
                     cache.put(key, trace_record(trace, aset))
 

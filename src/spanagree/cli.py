@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .annotator import (
@@ -212,24 +212,11 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.output is not None:
         config.output_dir = Path(args.output)
     if args.seed is not None:
-        config.gamma = GammaConfig(
-            dissimilarity=config.gamma.dissimilarity,
-            n_samples=config.gamma.n_samples,
-            seed=args.seed,
-        )
+        config.gamma = replace(config.gamma, seed=args.seed)
         if config.annotator is not None:
-            config.annotator = AnnotatorConfig(
-                model_id=config.annotator.model_id,
-                variant=config.annotator.variant,
-                decoding=DecodingParams(
-                    temperature=config.annotator.decoding.temperature,
-                    seed=args.seed,
-                ),
-                schema_mode=config.annotator.schema_mode,
-                max_retries=config.annotator.max_retries,
-                concurrency_limit=config.annotator.concurrency_limit,
-                annotator_id=config.annotator.annotator_id,
-                fewshot_examples=config.annotator.fewshot_examples,
+            config.annotator = replace(
+                config.annotator,
+                decoding=replace(config.annotator.decoding, seed=args.seed),
             )
     if getattr(args, "mock", None) is not None:
         config.provider = ProviderSettings(kind="mock", replies=Path(args.mock))

@@ -21,11 +21,9 @@ from .dissimilarity import (
     positional_dissimilarity,
     unit_dissimilarity,
 )
-from .solver import BACKEND
 
 __all__ = [
     "Alignment",
-    "BACKEND",
     "DegenerateText",
     "DissimilarityConfig",
     "EmptySide",

@@ -1,31 +1,68 @@
-"""Assignment-kernel backend selection.
-
-Prefers the compiled extension and falls back to the pure-Python
-implementation when the extension was not built. Both produce identical
-results; the compiled one is just much faster.
-"""
+"""Square assignment solver (shortest augmenting path)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _solver_py
-
-try:
-    from . import _solver as _native
-except ImportError:
-    _native = None
-
-BACKEND = "cython" if _native is not None else "python"
-
 
 def solve_assignment(cost: np.ndarray) -> tuple[list[int], float]:
-    """Minimum-cost perfect matching on a square float64 matrix."""
-    if _native is not None:
-        return _native.solve_assignment(np.ascontiguousarray(cost, dtype=np.float64))
-    return _solver_py.solve_assignment(cost.tolist())
+    """Minimum-cost perfect matching on a square cost matrix.
 
+    Returns (cols, total) where cols[i] is the column assigned to row i
+    and total sums the chosen costs in row order.
+    O(n^3) Jonker-Volgenant style algorithm with dual potentials;
+    requires finite costs.
+    """
+    matrix = cost.tolist()
+    n = len(matrix)
+    if n == 0:
+        return [], 0.0
+    inf = float("inf")
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    # p[j] = row matched to column j, 1-based; column 0 is the virtual root
+    p = [0] * (n + 1)
+    way = [0] * (n + 1)
 
-def solve_assignment_python(cost: np.ndarray) -> tuple[list[int], float]:
-    """Force the pure-Python solver (for benchmarks and cross-checks)."""
-    return _solver_py.solve_assignment(cost.tolist())
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = inf
+            j1 = 0
+            row = matrix[i0 - 1]
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = row[j - 1] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta = minv[j]
+                        j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+
+    cols = [0] * n
+    for j in range(1, n + 1):
+        if p[j] != 0:
+            cols[p[j] - 1] = j - 1
+    total = 0.0
+    for i in range(n):
+        total += matrix[i][cols[i]]
+    return cols, total

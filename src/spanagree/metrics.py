@@ -239,18 +239,22 @@ def aggregate(
         cand_counts.append(len(cand_set))
         if len(ref_set) > 0 and len(cand_set) > 0:
             text = dataset[example_id].text
+            p_hard = example_precision(cand_set, ref_set, MatchMode.HARD)
+            r_hard = example_recall(cand_set, ref_set, MatchMode.HARD)
+            p_soft = example_precision(cand_set, ref_set, MatchMode.SOFT)
+            r_soft = example_recall(cand_set, ref_set, MatchMode.SOFT)
             rows.append(
                 ExampleScores(
                     example_id,
                     len(ref_set),
                     len(cand_set),
                     "scored",
-                    precision_hard=example_precision(cand_set, ref_set, MatchMode.HARD),
-                    recall_hard=example_recall(cand_set, ref_set, MatchMode.HARD),
-                    f1_hard=example_f1(cand_set, ref_set, MatchMode.HARD),
-                    precision_soft=example_precision(cand_set, ref_set, MatchMode.SOFT),
-                    recall_soft=example_recall(cand_set, ref_set, MatchMode.SOFT),
-                    f1_soft=example_f1(cand_set, ref_set, MatchMode.SOFT),
+                    precision_hard=p_hard,
+                    recall_hard=r_hard,
+                    f1_hard=_harmonic(p_hard, r_hard),
+                    precision_soft=p_soft,
+                    recall_soft=r_soft,
+                    f1_soft=_harmonic(p_soft, r_soft),
                     gamma=gamma_score(
                         ref_set, cand_set, len(text), gamma_config, example_id
                     ),

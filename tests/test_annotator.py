@@ -19,6 +19,8 @@ from spanagree.annotator import (
     annotate_example,
     trace_record,
 )
+from spanagree.annotator import runner
+from spanagree.annotator.runner import CacheError, TraceCache
 from spanagree.ingest import load_dataset
 from spanagree.model import Dataset
 
@@ -145,6 +147,71 @@ class TestAnnotateDataset:
         annotate_dataset(dataset, config(), adapter, cache)
         # one fresh request for "a" plus 3 for the always-failing "c"
         assert adapter.calls == 4
+
+    def test_torn_final_line_is_dropped_and_reannotated(self, dataset, tmp_path):
+        def all_succeed():
+            return MockAdapter({
+                "a": [reply([{"reason": "", "text": "cat", "type": 0}])],
+                "b": [reply([])],
+                "c": [reply([{"reason": "", "text": "wrong", "type": 1}])],
+            })
+
+        cache = tmp_path / "cache.jsonl"
+        first = annotate_dataset(dataset, config(), all_succeed(), cache)
+        lines = cache.read_bytes().splitlines(keepends=True)
+        kept = b"".join(lines[:-1])
+        cache.write_bytes(kept + lines[-1][: len(lines[-1]) // 2])
+        torn_cache = TraceCache(cache)
+        assert cache.read_bytes() == kept  # repaired before anything is appended
+        assert torn_cache.get(json.loads(lines[-1])["key"]) is None
+
+        adapter = all_succeed()
+        resumed = annotate_dataset(dataset, config(), adapter, cache)
+        assert adapter.calls == 1  # only the example whose record was torn
+        assert dict(resumed.sets) == dict(first.sets)
+        assert cache.read_bytes().splitlines() == [l.rstrip(b"\n") for l in lines]
+
+    def test_corrupt_inner_line_raises_cache_error(self, dataset, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        annotate_dataset(dataset, config(), self.full_mock(), cache)
+        lines = cache.read_text().splitlines()
+        cache.write_text("\n".join([lines[0][:10], *lines[1:]]) + "\n")
+        with pytest.raises(CacheError, match="line 1"):
+            annotate_dataset(dataset, config(), self.full_mock(), cache)
+
+    def test_each_prompt_rendered_once(self, dataset, tmp_path, monkeypatch):
+        calls = []
+        original = runner.render_prompt
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].id)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "render_prompt", counting)
+        annotate_dataset(dataset, config(), self.full_mock(), tmp_path / "cache.jsonl")
+        assert sorted(calls) == ["a", "b", "c"]
+
+    def test_duplicate_prompts_each_get_their_own_reply(self, tmp_path, monkeypatch):
+        # batches of one finish d1, and cache it, before d5 is looked up
+        monkeypatch.setattr(runner, "_PROMPTS_PER_WORKER", 1)
+        categories = write_bundled_categories(tmp_path, "d2t")
+        corpus = tmp_path / "corpus.jsonl"
+        ids = ["d1", "d2", "d3", "d4", "d5"]
+        texts = {"d1": "same text here", "d5": "same text here"}
+        corpus.write_text("".join(
+            json.dumps({"id": i, "text": texts.get(i, f"text of {i}"), "source": "{}"}) + "\n"
+            for i in ids
+        ), encoding="utf-8")
+        dataset = load_dataset(corpus, categories)
+        surfaces = {"d1": "same", "d5": "here"}
+        adapter = MockAdapter({
+            i: [reply([{"reason": "", "text": surfaces.get(i, "text"), "type": 0}])]
+            for i in ids
+        })
+        campaign = annotate_dataset(dataset, config(), adapter, tmp_path / "cache.jsonl")
+        assert adapter.calls == 5
+        assert [(a.start, a.end) for a in campaign.sets["d1"]] == [(0, 4)]
+        assert [(a.start, a.end) for a in campaign.sets["d5"]] == [(10, 14)]
 
     def test_changed_variant_invalidates_cache(self, dataset, tmp_path):
         cache = tmp_path / "cache.jsonl"

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from spanagree.cli import ConfigError, load_run_config, main
+import spanagree
+from spanagree.cli import ConfigError, _apply_overrides, build_parser, load_run_config, main
 
 from conftest import FIXTURES, write_bundled_categories
 
@@ -110,6 +116,16 @@ class TestExitCodes:
         assert main(["annotate", "--config", str(path)]) == 2
         assert "UNSET_KEY_VAR" in capsys.readouterr().err
 
+    def test_corrupt_cache_line_exits_3(self, mock_config, capsys):
+        path, _ = mock_config
+        assert main(["annotate", "--config", str(path)]) == 0
+        cache = path.parent / "cache.jsonl"
+        lines = cache.read_text(encoding="utf-8").splitlines()
+        cache.write_text("\n".join(["{not json", *lines]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["annotate", "--config", str(path)]) == 3
+        assert "line 1 is not a cache record" in capsys.readouterr().err
+
     def test_unknown_campaign_id_exits_2(self, mock_config, capsys):
         path, _ = mock_config
         assert main(["stats", "--config", str(path), "missing"]) == 2
@@ -160,6 +176,32 @@ class TestCommands:
         assert main(["evaluate", "--config", str(path), "gold", "gold", "--seed", "7"]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["gamma_config"]["seed"] == 7
+
+    def test_seed_override_keeps_other_settings(self, mock_config):
+        path, _ = mock_config
+        config = load_run_config(path)
+        args = build_parser().parse_args(
+            ["annotate", "--config", str(path), "--seed", "7"]
+        )
+        overridden = _apply_overrides(load_run_config(path), args)
+        assert overridden.gamma == replace(config.gamma, seed=7)
+        assert overridden.annotator == replace(
+            config.annotator, decoding=replace(config.annotator.decoding, seed=7)
+        )
+
+    def test_evaluate_does_not_import_scipy(self, mock_config):
+        path, _ = mock_config
+        src = Path(spanagree.__file__).parent.parent
+        script = (
+            "import sys\n"
+            "from spanagree.cli import main\n"
+            f"code = main(['evaluate', '--config', {str(path)!r}, 'gold', 'gold'])\n"
+            "assert code == 0, code\n"
+            "assert 'scipy' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                       capture_output=True)
 
     def test_output_override(self, mock_config, tmp_path):
         path, _ = mock_config

@@ -23,9 +23,8 @@ from spanagree.gamma import (
     recompute_cost,
     unit_dissimilarity,
 )
-from spanagree.gamma import solver
+from spanagree.gamma import alignment, solver
 from spanagree.gamma.alignment import _child_rng, _resample
-from spanagree.gamma._solver_py import solve_assignment as solve_py
 from spanagree.model import SpanAnnotation
 
 from conftest import random_spans
@@ -175,15 +174,9 @@ class TestOracleEquivalence:
         assert fast.disorder == pytest.approx(slow.disorder, abs=1e-12)
 
 
-class TestSolverBackends:
-    def test_backends_agree_exactly(self):
-        rng = np.random.default_rng(17)
-        for n in (1, 2, 3, 5, 9, 14):
-            cost = rng.uniform(0.0, 5.0, size=(n, n))
-            cols_native, total_native = solver.solve_assignment(cost)
-            cols_pure, total_pure = solve_py(cost.tolist())
-            assert cols_native == cols_pure
-            assert total_native == total_pure
+class TestSolver:
+    def test_alignment_uses_the_solver(self):
+        assert alignment.solve_assignment is solver.solve_assignment
 
     def test_against_scipy(self):
         scipy_opt = pytest.importorskip("scipy.optimize")
@@ -196,14 +189,19 @@ class TestSolverBackends:
             assert total == pytest.approx(cost[rows, cols].sum(), abs=1e-9)
 
     def test_empty_matrix(self):
-        cols, total = solve_py([])
+        cols, total = solver.solve_assignment(np.zeros((0, 0)))
         assert cols == [] and total == 0.0
 
-    def test_python_fallback_selected_when_native_missing(self, monkeypatch):
-        monkeypatch.setattr(solver, "_native", None)
-        cost = np.array([[1.0, 5.0], [5.0, 1.0]])
-        cols, total = solver.solve_assignment(cost)
-        assert cols == [0, 1] and total == 2.0
+    def test_total_sums_in_row_order(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 3, 5, 9, 14):
+            cost = rng.uniform(0.0, 5.0, size=(n, n))
+            cols, total = solver.solve_assignment(cost)
+            assert sorted(cols) == list(range(n))
+            expected = 0.0
+            for i in range(n):
+                expected += cost[i, cols[i]]
+            assert total == expected
 
 
 class TestDisorder:

@@ -341,6 +341,30 @@ class TestAggregate:
             assert row.f1_hard is None and row.s_empty is not None
 
 
+    def test_per_example_scores_equal_the_metric_functions_exactly(self):
+        rng = random.Random(31)
+        texts = {f"e{i}": "x" * 60 for i in range(30)}
+        sides = [
+            make_campaign(
+                name,
+                {eid: as_set(eid, random_spans(rng, 60, rng.randint(1, 5)))
+                 for eid in texts},
+            )
+            for name in ("ref", "cand")
+        ]
+        ref, cand = sides
+        report = aggregate(make_dataset(texts), ref, cand, GammaConfig(n_samples=1))
+        for row in report.examples:
+            c, r = cand.sets[row.example_id], ref.sets[row.example_id]
+            for mode, p, rc, f1 in (
+                (MatchMode.HARD, row.precision_hard, row.recall_hard, row.f1_hard),
+                (MatchMode.SOFT, row.precision_soft, row.recall_soft, row.f1_soft),
+            ):
+                assert p == example_precision(c, r, mode)
+                assert rc == example_recall(c, r, mode)
+                assert f1 == example_f1(c, r, mode)
+
+
 class TestConfusionMatrix:
     def test_exact_matches_are_diagonal(self):
         texts = {"e1": "x" * 20}
