@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any
 
 from ..grounding import (
     GroundingError,
@@ -27,12 +26,13 @@ from ..grounding import (
     parse_annotation_payload,
     split_reasoning,
 )
+from ..ingest import IngestError, annotation_from_dict, annotation_to_dict
 from ..model import (
     AnnotationSet,
     Campaign,
     Dataset,
     Example,
-    SpanAnnotation,
+    ModelError,
     Trace,
     normalize_annotation_set,
 )
@@ -96,18 +96,6 @@ def cache_key(config: AnnotatorConfig, prompt: str) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
-def _annotation_payload(aset: AnnotationSet) -> list[dict]:
-    out = []
-    for a in aset:
-        item: dict[str, Any] = {"start": a.start, "end": a.end, "type": a.category}
-        if a.reason is not None:
-            item["reason"] = a.reason
-        if a.surface is not None:
-            item["text"] = a.surface
-        out.append(item)
-    return out
-
-
 def trace_record(trace: Trace, aset: AnnotationSet) -> dict:
     """Wire format for one trace line."""
     return {
@@ -116,7 +104,7 @@ def trace_record(trace: Trace, aset: AnnotationSet) -> dict:
         "variant": trace.variant,
         "raw_output": trace.raw_output,
         "reasoning": trace.reasoning,
-        "annotations": _annotation_payload(aset),
+        "annotations": [annotation_to_dict(a) for a in aset],
         "latency_s": trace.latency_s,
         "usage": {
             "prompt_tokens": trace.prompt_tokens,
@@ -128,7 +116,8 @@ def trace_record(trace: Trace, aset: AnnotationSet) -> dict:
 
 
 class CacheError(OSError):
-    """A trace cache line other than the last one cannot be read."""
+    """A trace cache line other than the last one, or a record looked up
+    in it, cannot be read."""
 
 
 class TraceCache:
@@ -137,13 +126,15 @@ class TraceCache:
     Every record is appended together with its newline, so a final line
     without one was cut short by a kill mid-append. Loading truncates
     that line away and its example is annotated again; a malformed
-    complete line raises CacheError.
+    complete line raises CacheError, and so does a record whose spans
+    or trace fields cannot be decoded when it is looked up.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._records: dict[str, dict] = {}
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         if not self.path.exists():
             return
         kept = 0
@@ -182,7 +173,6 @@ class TraceCache:
     def put(self, key: str, record: dict) -> None:
         record = {"key": key, **record}
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8", newline="\n") as handle:
                 handle.write(json.dumps(record, ensure_ascii=False) + "\n")
                 handle.flush()
@@ -209,10 +199,10 @@ def annotate_example(
     """Annotate one example: prompt, complete, ground, normalize.
 
     Malformed output (no JSON, wrong payload shape) is retried with the
-    identical prompt up to config.max_retries attempts; exhaustion
-    yields an empty set flagged failed. Raises ProviderError only when
-    every attempt failed at the transport level. ``prompt`` is the
-    already rendered prompt, if the caller has it.
+    identical prompt, and so is a transport error, up to
+    config.max_retries attempts in all; exhaustion yields an empty set
+    and a trace flagged failed. ``prompt`` is the already rendered
+    prompt, if the caller has it.
     """
     if prompt is None:
         prompt = render_prompt(
@@ -228,13 +218,12 @@ def annotate_example(
     )
 
     failures = 0
-    transport_failures = 0
     latency = 0.0
     prompt_tokens = 0
     completion_tokens = 0
     raw = ""
     reasoning = ""
-    last_transport: ProviderError | None = None
+    aset: AnnotationSet | None = None
 
     for _ in range(config.max_retries):
         try:
@@ -243,8 +232,6 @@ def annotate_example(
             )
         except ProviderError as exc:
             failures += 1
-            transport_failures += 1
-            last_transport = exc
             logger.warning("transport error for %s: %s", example.id, exc)
             continue
         latency += result.latency_s
@@ -280,25 +267,8 @@ def annotate_example(
         aset, _ = normalize_annotation_set(
             spans, example.text, dataset.no_overlap, example.id
         )
-        trace = Trace(
-            example_id=example.id,
-            model_id=config.model_id,
-            variant=config.variant.value,
-            raw_output=raw,
-            reasoning=reasoning,
-            latency_s=latency,
-            prompt_tokens=prompt_tokens,
-            completion_tokens=completion_tokens,
-            retries=failures,
-            failed=False,
-        )
-        return aset, trace
+        break
 
-    if transport_failures == config.max_retries and last_transport is not None:
-        raise ProviderError(
-            f"all {config.max_retries} attempts failed for {example.id}: "
-            f"{last_transport}"
-        )
     trace = Trace(
         example_id=example.id,
         model_id=config.model_id,
@@ -309,36 +279,41 @@ def annotate_example(
         prompt_tokens=prompt_tokens,
         completion_tokens=completion_tokens,
         retries=failures,
-        failed=True,
+        failed=aset is None,
     )
-    return AnnotationSet(example.id), trace
+    # AnnotationSet defines __len__, so an empty set is falsy: test for None.
+    if aset is None:
+        aset = AnnotationSet(example.id)
+    return aset, trace
 
 
-def _set_from_record(example_id: str, record: dict) -> tuple[AnnotationSet, Trace]:
-    annotations = tuple(
-        SpanAnnotation(
-            start=item["start"],
-            end=item["end"],
-            category=item["type"],
-            reason=item.get("reason"),
-            surface=item.get("text"),
+def _set_from_record(
+    example_id: str, record: dict, path: Path
+) -> tuple[AnnotationSet, Trace]:
+    try:
+        annotations = tuple(
+            annotation_from_dict(item, f"annotation {pos}")
+            for pos, item in enumerate(record["annotations"])
         )
-        for item in record["annotations"]
-    )
-    usage = record.get("usage", {})
-    trace = Trace(
-        example_id=example_id,
-        model_id=record.get("model_id", ""),
-        variant=record.get("variant", ""),
-        raw_output=record.get("raw_output", ""),
-        reasoning=record.get("reasoning", ""),
-        latency_s=record.get("latency_s", 0.0),
-        prompt_tokens=usage.get("prompt_tokens", 0),
-        completion_tokens=usage.get("completion_tokens", 0),
-        retries=record.get("retries", 0),
-        failed=record.get("failed", False),
-    )
-    return AnnotationSet(example_id, annotations), trace
+        usage = record.get("usage", {})
+        trace = Trace(
+            example_id=example_id,
+            model_id=record.get("model_id", ""),
+            variant=record.get("variant", ""),
+            raw_output=record.get("raw_output", ""),
+            reasoning=record.get("reasoning", ""),
+            latency_s=record.get("latency_s", 0.0),
+            prompt_tokens=usage.get("prompt_tokens", 0),
+            completion_tokens=usage.get("completion_tokens", 0),
+            retries=record.get("retries", 0),
+            failed=record.get("failed", False),
+        )
+        return AnnotationSet(example_id, annotations), trace
+    except (IngestError, ModelError, KeyError, TypeError, AttributeError) as exc:
+        raise CacheError(
+            f"{path}: the record for example {example_id!r} cannot be read ({exc}); "
+            "remove its line or the file to re-annotate"
+        ) from exc
 
 
 def annotate_dataset(
@@ -359,19 +334,6 @@ def annotate_dataset(
     templates: dict[str, PromptTemplate] = {}
     results: dict[str, tuple[AnnotationSet, Trace]] = {}
 
-    def work(example: Example, prompt: str) -> tuple[AnnotationSet, Trace]:
-        try:
-            return annotate_example(example, dataset, config, adapter, prompt)
-        except ProviderError as exc:
-            logger.warning("example %s failed: %s", example.id, exc)
-            return AnnotationSet(example.id), Trace(
-                example_id=example.id,
-                model_id=config.model_id,
-                variant=config.variant.value,
-                retries=config.max_retries,
-                failed=True,
-            )
-
     # Batches bound the rendered prompts held at once, so memory does not
     # grow with the number of pending examples. Rendering a batch before
     # submitting it keeps the main thread off the interpreter lock while
@@ -390,10 +352,13 @@ def annotate_dataset(
                 key = cache_key(config, prompt)
                 cached = cache.get(key) if cache is not None else None
                 if cached is not None and not cached.get("failed"):
-                    results[example.id] = _set_from_record(example.id, cached)
+                    results[example.id] = _set_from_record(example.id, cached, cache.path)
                 else:
                     pending.append((example, key, prompt))
-            futures = [pool.submit(work, example, prompt) for example, _, prompt in pending]
+            futures = [
+                pool.submit(annotate_example, example, dataset, config, adapter, prompt)
+                for example, _, prompt in pending
+            ]
             for (example, key, _), future in zip(pending, futures):
                 aset, trace = future.result()
                 results[example.id] = (aset, trace)

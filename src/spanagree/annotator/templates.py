@@ -100,7 +100,8 @@ _TAILS = {
 # Label of the input block in few-shot examples, per task.
 _INPUT_LABELS = {"d2t": "data", "mt": "source"}
 
-_NUMBER_WORDS = {3: "three", 5: "five"}
+# The fiveshot variant takes exactly this many worked examples.
+_FIVESHOT_COUNT = 5
 
 
 def _schema_paragraph(include_reason: bool) -> str:
@@ -117,9 +118,8 @@ def _schema_paragraph(include_reason: bool) -> str:
 
 
 def _fewshot_block(task: str, examples: Sequence[FewshotExample]) -> str:
-    count = _NUMBER_WORDS.get(len(examples), str(len(examples)))
     parts = [
-        f"In order to help you with the task, we provide you with {count} "
+        "In order to help you with the task, we provide you with five "
         "examples of inputs, outputs and annotations:"
     ]
     label = _INPUT_LABELS.get(task)
@@ -139,7 +139,6 @@ def build_template(
     task: str,
     variant: PromptVariant = PromptVariant.BASE,
     fewshot_examples: Sequence[FewshotExample] = (),
-    n_fewshot: int = 5,
     has_guidelines: bool = True,
 ) -> PromptTemplate:
     """Assemble the prompt body for one task and variant.
@@ -150,9 +149,9 @@ def build_template(
     if task not in _INTROS:
         raise TemplateError(f"no prompt defined for task {task!r}")
     if variant is PromptVariant.FIVESHOT:
-        if len(fewshot_examples) != n_fewshot:
+        if len(fewshot_examples) != _FIVESHOT_COUNT:
             raise TemplateError(
-                f"fiveshot needs exactly {n_fewshot} examples, "
+                f"fiveshot needs exactly {_FIVESHOT_COUNT} examples, "
                 f"got {len(fewshot_examples)}"
             )
     elif fewshot_examples:

@@ -25,7 +25,6 @@ from .model import (
     ModelError,
     SpanAnnotation,
     Trace,
-    validate_campaign,
 )
 
 BUNDLED_TASKS = ("d2t", "mt", "propaganda")
@@ -198,7 +197,8 @@ def load_dataset(corpus_path: str | Path, category_path: str | Path) -> Dataset:
         raise IngestError(f"{corpus_path}: {exc}") from exc
 
 
-def _annotation_to_dict(a: SpanAnnotation) -> dict:
+def annotation_to_dict(a: SpanAnnotation) -> dict:
+    """Wire format of one span, shared by campaigns, traces and the cache."""
     out: dict[str, Any] = {"start": a.start, "end": a.end, "type": a.category}
     if a.reason is not None:
         out["reason"] = a.reason
@@ -207,7 +207,8 @@ def _annotation_to_dict(a: SpanAnnotation) -> dict:
     return out
 
 
-def _annotation_from_dict(obj: Any, where: str) -> SpanAnnotation:
+def annotation_from_dict(obj: Any, where: str) -> SpanAnnotation:
+    """Decode one span written by annotation_to_dict; raises IngestError."""
     if not isinstance(obj, dict):
         raise IngestError(f"{where}: annotation is not an object")
     _require_keys(obj, {"start", "end", "type"}, {"reason", "text"}, where)
@@ -238,7 +239,7 @@ def export_campaign(campaign: Campaign, path: str | Path) -> None:
                 "example_id": example_id,
                 "annotator_id": campaign.annotator_id,
                 "annotations": [
-                    _annotation_to_dict(a) for a in campaign.sets[example_id]
+                    annotation_to_dict(a) for a in campaign.sets[example_id]
                 ],
             }
             if example_id in failed:
@@ -280,7 +281,7 @@ def load_campaign(path: str | Path, dataset: Dataset) -> Campaign:
         annotations = []
         for pos, obj in enumerate(row["annotations"]):
             try:
-                ann = _annotation_from_dict(obj, f"annotation {pos}")
+                ann = annotation_from_dict(obj, f"annotation {pos}")
             except IngestError as exc:
                 raise ParseError(path, lineno, str(exc)) from exc
             if ann.end > len(text):
@@ -309,14 +310,12 @@ def load_campaign(path: str | Path, dataset: Dataset) -> Campaign:
         sets[example_id] = AnnotationSet(example_id, tuple(annotations))
         if row.get("failed"):
             traces[example_id] = Trace(example_id=example_id, failed=True)
-    campaign = Campaign(
+    return Campaign(
         annotator_id=annotator_id or path.stem,
         dataset_ref=str(path),
         sets=sets,
         traces=traces,
     )
-    validate_campaign(campaign, dataset)
-    return campaign
 
 
 def import_offset_tsv(

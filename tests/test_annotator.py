@@ -22,7 +22,7 @@ from spanagree.annotator import (
 from spanagree.annotator import runner
 from spanagree.annotator.runner import CacheError, TraceCache
 from spanagree.ingest import load_dataset
-from spanagree.model import Dataset
+from spanagree.model import AnnotationSet, Dataset, Trace
 
 from conftest import write_bundled_categories
 
@@ -83,10 +83,12 @@ class TestAnnotateExample:
         aset, trace = annotate_example(dataset["a"], dataset, config(), adapter)
         assert trace.failed is False and trace.retries == 1
 
-    def test_all_transport_failures_raise(self, dataset):
+    def test_all_transport_failures_give_failed_trace(self, dataset):
         adapter = MockAdapter({"other": [reply([])]})  # no replies for "a"
-        with pytest.raises(ProviderError):
-            annotate_example(dataset["a"], dataset, config(), adapter)
+        aset, trace = annotate_example(dataset["a"], dataset, config(), adapter)
+        assert aset == AnnotationSet("a")
+        assert trace == Trace("a", "test-model", "base", retries=3, failed=True)
+        assert adapter.calls == 3
 
     def test_empty_answer_is_not_failed(self, dataset):
         adapter = MockAdapter({"c": [reply([])]})
@@ -178,6 +180,48 @@ class TestAnnotateDataset:
         cache.write_text("\n".join([lines[0][:10], *lines[1:]]) + "\n")
         with pytest.raises(CacheError, match="line 1"):
             annotate_dataset(dataset, config(), self.full_mock(), cache)
+
+    @pytest.mark.parametrize("field, value", [
+        ("annotations", [{"start": 4, "end": 7}]),
+        ("annotations", [{"start": 4, "end": 7, "type": "0"}]),
+        ("annotations", [{"start": 7, "end": 4, "type": 0}]),
+        ("annotations", [{"start": 4, "end": 7, "type": 0, "surprise": 1}]),
+        ("annotations", {"start": 4}),
+        ("annotations", 7),
+        ("usage", []),
+    ])
+    def test_undecodable_record_raises_cache_error(self, dataset, tmp_path, field, value):
+        cache = tmp_path / "cache.jsonl"
+        annotate_dataset(dataset, config(), self.full_mock(), cache)
+        records = [json.loads(l) for l in cache.read_text().splitlines()]
+        for record in records:
+            if record["example_id"] == "a":
+                record[field] = value
+        cache.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(CacheError, match=r"cache\.jsonl: the record for example 'a'"):
+            annotate_dataset(dataset, config(), self.full_mock(), cache)
+
+    def test_cache_records_decode_to_the_annotated_sets(self, dataset, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        adapter = MockAdapter({
+            "a": [reply([
+                {"reason": "why", "text": "the cat", "type": 0},
+                {"reason": "", "text": "mat", "type": 1},
+            ])],
+            "b": [reply([])],
+            "c": [reply([{"reason": "r", "text": "wrong", "type": 1}])],
+        })
+        first = annotate_dataset(dataset, config(), adapter, cache)
+        resumed = annotate_dataset(dataset, config(), self.full_mock(), cache)
+        assert dict(resumed.sets) == dict(first.sets)
+        assert dict(resumed.traces) == dict(first.traces)
+
+    def test_cache_directory_created_on_open(self, tmp_path):
+        path = tmp_path / "nested" / "dir" / "cache.jsonl"
+        cache = TraceCache(path)
+        assert path.parent.is_dir() and not path.exists()
+        cache.put("k", {"failed": False})
+        assert json.loads(path.read_text()) == {"key": "k", "failed": False}
 
     def test_each_prompt_rendered_once(self, dataset, tmp_path, monkeypatch):
         calls = []

@@ -126,6 +126,27 @@ class TestExitCodes:
         assert main(["annotate", "--config", str(path)]) == 3
         assert "line 1 is not a cache record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("span", [
+        {"start": 0, "end": 3},
+        {"start": 0, "end": 3, "type": "0"},
+    ])
+    def test_undecodable_cache_span_exits_3(self, mock_config, capsys, span):
+        path, _ = mock_config
+        assert main(["annotate", "--config", str(path)]) == 0
+        cache = path.parent / "cache.jsonl"
+        records = [json.loads(l) for l in cache.read_text(encoding="utf-8").splitlines()]
+        target = next(r for r in records if not r["failed"])
+        target["annotations"] = [span]
+        cache.write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+        capsys.readouterr()
+        assert main(["annotate", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert str(cache) in err and repr(target["example_id"]) in err
+
     def test_unknown_campaign_id_exits_2(self, mock_config, capsys):
         path, _ = mock_config
         assert main(["stats", "--config", str(path), "missing"]) == 2

@@ -213,7 +213,10 @@ class TestGroundAnnotations:
             start = data.draw(st.integers(0, len(text) - 2), label=f"start{i}")
             end = data.draw(st.integers(start + 1, len(text)), label=f"end{i}")
             surface = text[start:end]
-            if text.count(surface) != 1 or surface in surfaces:
+            # unique at every offset: str.count skips overlapping matches
+            if text.find(surface) != start or text.find(surface, start + 1) != -1:
+                continue
+            if surface in surfaces:
                 continue
             surfaces.add(surface)
             chosen.append((start, end))
