@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -42,6 +44,34 @@ def mock_config(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config, indent=2))
     return path, out
+
+
+@pytest.fixture
+def relative_run(tmp_path):
+    """The 10-example fixture run with every path relative to the config's
+    directory, so the config bytes, and with them config_hash, are the same
+    wherever the run is made."""
+    shutil.copy(FIXTURES / "corpus10.jsonl", tmp_path / "corpus.jsonl")
+    shutil.copy(FIXTURES / "gold10.jsonl", tmp_path / "gold.jsonl")
+    shutil.copy(FIXTURES / "replies10.jsonl", tmp_path / "replies.jsonl")
+    shutil.copy(write_bundled_categories(tmp_path, "d2t"), tmp_path / "categories.json")
+    config = {
+        "corpus": "corpus.jsonl",
+        "categories": "categories.json",
+        "campaigns": {"gold": "gold.jsonl", "llm": "out/campaign.jsonl"},
+        "output_dir": "out",
+        "cache": "cache.jsonl",
+        "annotator": {
+            "annotator_id": "mock-base",
+            "model_id": "mock-model",
+            "provider": {"kind": "mock", "replies": "replies.jsonl"},
+            "concurrency": 2,
+        },
+        "metrics": {"gamma": {"n_samples": 10, "seed": 42}},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config, indent=2), encoding="utf-8")
+    return path
 
 
 class TestConfigLoading:
@@ -259,3 +289,27 @@ class TestCommands:
         config["campaigns"]["gold9"] = str(trimmed)
         path.write_text(json.dumps(config))
         assert main(["evaluate", "--config", str(path), "gold", "gold9"]) == 2
+
+
+# sha256 of every file the fixture annotate + evaluate run writes; a change
+# that must alter an output regenerates these and says why.
+GOLDEN_OUTPUT_DIGESTS = {
+    "campaign.jsonl": "443f7a15364a41f209d713084eab0dd68f7e8e688a91e077067f7bac0b4921dd",
+    "traces.jsonl": "56e2b03feb7d105af0ebf8b4c602b3a378657f08d7110dfaae798623286bdc0d",
+    "report.json": "efa52f32d391a31147e2f51b600dac5f7021914f2306675528977607396ecf62",
+    "summary.csv": "cac8cbad9bda2704ad1584b0b8eb3c18debadc1b01b8cd1bd9d2c95fb4d367c3",
+    "per_example.csv": "44d944bb2803fa6e250335cc75e9789917cb13e31dd0a58cd789134b63107962",
+    "confusion.csv": "9c1b0fd2d3347a3a85020500c3b632f7c74e71f7271a0878e47ee91db4f0b25b",
+}
+
+
+class TestGoldenOutputs:
+    def test_fixture_run_outputs_match_golden_digests(self, relative_run):
+        out = relative_run.parent / "out"
+        assert main(["annotate", "--config", str(relative_run)]) == 0
+        assert main(["evaluate", "--config", str(relative_run), "gold", "llm"]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in GOLDEN_OUTPUT_DIGESTS
+        }
+        assert digests == GOLDEN_OUTPUT_DIGESTS
