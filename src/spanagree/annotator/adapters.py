@@ -4,7 +4,6 @@ runs and tests."""
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass
@@ -12,6 +11,8 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 import requests
+
+from ..ingest import ParseError, read_jsonl
 
 
 @dataclass(frozen=True)
@@ -74,18 +75,17 @@ class MockAdapter:
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "MockAdapter":
         """Load replies from JSONL lines {"example_id": ..., "replies": [...]}
-        (a single "reply" string is also accepted)."""
+        (a single "reply" string is also accepted); a malformed line
+        raises ParseError."""
         replies: dict[str, list[str]] = {}
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                example_id = row["example_id"]
-                if "replies" in row:
-                    replies[example_id] = list(row["replies"])
-                else:
-                    replies[example_id] = [row["reply"]]
+        rows = read_jsonl(Path(path), {"example_id": str}, {"replies": list, "reply": str})
+        for lineno, row in rows:
+            items = row.get("replies") or [row.get("reply")]
+            if not all(isinstance(item, str) for item in items):
+                raise ParseError(
+                    path, lineno, "needs a non-empty 'replies' list of strings or a 'reply'"
+                )
+            replies[row["example_id"]] = items
         return cls(replies)
 
     def complete(

@@ -26,7 +26,7 @@ from ..grounding import (
     parse_annotation_payload,
     split_reasoning,
 )
-from ..ingest import IngestError, annotation_from_dict, annotation_to_dict
+from ..ingest import IngestError, annotation_from_dict, annotation_to_dict, check_object
 from ..model import (
     AnnotationSet,
     Campaign,
@@ -287,29 +287,40 @@ def annotate_example(
     return aset, trace
 
 
+# A cache record is a trace_record plus its key; every field but the
+# spans has a default, so records written before a field existed load.
+_RECORD_KEYS = {"annotations": list}
+_RECORD_OPTIONAL_KEYS = {
+    **dict.fromkeys(("key", "example_id", "model_id", "variant", "raw_output", "reasoning"), str),
+    "latency_s": (int, float), "usage": dict, "retries": int, "failed": bool,
+}
+_USAGE_KEYS = {"prompt_tokens": int, "completion_tokens": int}
+# The Trace fields a record and its usage fill; a null or absent one
+# takes the Trace default.
+_TRACE_FIELDS = (
+    "model_id", "variant", "raw_output", "reasoning", "latency_s",
+    "prompt_tokens", "completion_tokens", "retries", "failed",
+)
+
+
 def _set_from_record(
     example_id: str, record: dict, path: Path
 ) -> tuple[AnnotationSet, Trace]:
     try:
+        check_object(record, _RECORD_KEYS, _RECORD_OPTIONAL_KEYS, "record")
         annotations = tuple(
             annotation_from_dict(item, f"annotation {pos}")
             for pos, item in enumerate(record["annotations"])
         )
-        usage = record.get("usage", {})
+        usage = record.get("usage") or {}
+        check_object(usage, {}, _USAGE_KEYS, "usage")
+        values = {**record, **usage}
         trace = Trace(
             example_id=example_id,
-            model_id=record.get("model_id", ""),
-            variant=record.get("variant", ""),
-            raw_output=record.get("raw_output", ""),
-            reasoning=record.get("reasoning", ""),
-            latency_s=record.get("latency_s", 0.0),
-            prompt_tokens=usage.get("prompt_tokens", 0),
-            completion_tokens=usage.get("completion_tokens", 0),
-            retries=record.get("retries", 0),
-            failed=record.get("failed", False),
+            **{key: values[key] for key in _TRACE_FIELDS if values.get(key) is not None},
         )
         return AnnotationSet(example_id, annotations), trace
-    except (IngestError, ModelError, KeyError, TypeError, AttributeError) as exc:
+    except (IngestError, ModelError) as exc:
         raise CacheError(
             f"{path}: the record for example {example_id!r} cannot be read ({exc}); "
             "remove its line or the file to re-annotate"

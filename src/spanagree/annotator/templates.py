@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+from ..ingest import IngestError, check_object
 from ..model import CategorySet, Example
 
 
@@ -252,8 +253,13 @@ def fewshot_from_config(entries: Sequence[dict]) -> tuple[FewshotExample, ...]:
     data?}, where annotations is the expected output payload."""
     shots = []
     for pos, entry in enumerate(entries):
-        if "text" not in entry or "annotations" not in entry:
-            raise TemplateError(f"few-shot entry {pos} needs 'text' and 'annotations'")
+        try:
+            check_object(
+                entry, {"text": str, "annotations": list}, {"data": str},
+                f"fewshot entry {pos}",
+            )
+        except IngestError as exc:
+            raise TemplateError(str(exc)) from exc
         shots.append(
             FewshotExample(
                 text=entry["text"],

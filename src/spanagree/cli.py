@@ -29,14 +29,14 @@ from .annotator import (
     trace_record,
 )
 from .gamma import DissimilarityConfig, GammaConfig
-from .ingest import IngestError, export_campaign, load_campaign, load_dataset
+from .ingest import IngestError, check_object, export_campaign, load_campaign, load_dataset
 from .metrics import (
     MetricError,
     aggregate,
     annotation_stats,
     confusion_matrix,
 )
-from .model import ModelError
+from .model import Campaign, Dataset, ModelError
 from .report import (
     fmt3,
     report_to_dict,
@@ -77,130 +77,101 @@ class RunConfig:
     config_hash: str = ""
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = obj.keys() - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-
-
 def _resolve(base: Path, value: str) -> Path:
     path = Path(value)
     return path if path.is_absolute() else base / path
+
+
+# Each config section's optional keys and their JSON types. An omitted
+# key, or null, takes the default of the dataclass field it fills; only
+# annotator.seed keeps null, because DecodingParams.seed may be None.
+_ANNOTATOR_KEYS = {"annotator_id": str, "variant": str, "schema_mode": str,
+                   "max_retries": int, "concurrency": int, "fewshot": list}
+_DECODING_KEYS = {"temperature": (int, float), "seed": int}
+_PROVIDER_KEYS = {"kind": str, "base_url": str, "api_key_env": str, "replies": str}
+_DISSIMILARITY_KEYS = dict.fromkeys(("alpha", "beta", "delta_empty"), (int, float))
+_GAMMA_KEYS = {"n_samples": int, "seed": int}
+
+# Config keys whose dataclass field has another name or type.
+_FIELD_NAMES = {"concurrency": "concurrency_limit", "fewshot": "fewshot_examples"}
+_FIELD_TYPES = {
+    "variant": PromptVariant,
+    "schema_mode": SchemaMode,
+    "fewshot": fewshot_from_config,
+}
+
+
+def _fields(section: dict, keys: dict) -> dict:
+    """Dataclass keyword arguments for the keys the section gives."""
+    return {
+        _FIELD_NAMES.get(key, key): _FIELD_TYPES.get(key, lambda v: v)(section[key])
+        for key in keys
+        if section.get(key) is not None
+    }
 
 
 def load_run_config(path: str | Path) -> RunConfig:
     """Parse and validate the run configuration; unknown keys are errors."""
     path = Path(path)
     raw_bytes = path.read_bytes()
+    base = path.parent
     try:
         raw = json.loads(raw_bytes)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    _reject_unknown(
-        raw,
-        {"corpus", "categories", "campaigns", "output_dir", "cache",
-         "annotator", "metrics"},
-        str(path),
-    )
-    for key in ("corpus", "categories", "output_dir"):
-        if key not in raw:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-    base = path.parent
-
-    campaigns = {}
-    for name, campaign_path in raw.get("campaigns", {}).items():
-        campaigns[name] = _resolve(base, campaign_path)
-
-    annotator = None
-    provider = ProviderSettings()
-    if "annotator" in raw:
-        section = raw["annotator"]
-        _reject_unknown(
-            section,
-            {"annotator_id", "model_id", "variant", "schema_mode", "temperature",
-             "seed", "max_retries", "concurrency", "provider", "fewshot"},
-            f"{path}: annotator",
+        check_object(
+            raw,
+            {"corpus": str, "categories": str, "output_dir": str},
+            {"campaigns": dict, "cache": str, "annotator": dict, "metrics": dict},
+            "config",
         )
-        if "model_id" not in section:
-            raise ConfigError(f"{path}: annotator.model_id is required")
-        try:
-            variant = PromptVariant(section.get("variant", "base"))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: unknown prompt variant: {exc}") from exc
-        try:
-            schema_mode = SchemaMode(section.get("schema_mode", "freeform"))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: unknown schema mode: {exc}") from exc
-        try:
-            fewshot = fewshot_from_config(section.get("fewshot", []))
-        except TemplateError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        try:
+        campaigns = raw.get("campaigns") or {}
+        check_object(campaigns, dict.fromkeys(campaigns, str), {}, "campaigns")
+
+        annotator = None
+        provider = ProviderSettings()
+        if raw.get("annotator") is not None:
+            section = raw["annotator"]
+            check_object(
+                section,
+                {"model_id": str},
+                {**_ANNOTATOR_KEYS, **_DECODING_KEYS, "provider": dict},
+                "annotator",
+            )
+            decoding = DecodingParams(**_fields(section, _DECODING_KEYS))
+            if "seed" in section and section["seed"] is None:
+                # DecodingParams.seed is optional: null sends unseeded requests.
+                decoding = replace(decoding, seed=None)
             annotator = AnnotatorConfig(
                 model_id=section["model_id"],
-                variant=variant,
-                decoding=DecodingParams(
-                    temperature=section.get("temperature", 0.0),
-                    seed=section.get("seed", 42),
-                ),
-                schema_mode=schema_mode,
-                max_retries=section.get("max_retries", 3),
-                concurrency_limit=section.get("concurrency", 1),
-                annotator_id=section.get("annotator_id", ""),
-                fewshot_examples=fewshot,
+                decoding=decoding,
+                **_fields(section, _ANNOTATOR_KEYS),
             )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        provider_raw = section.get("provider", {})
-        _reject_unknown(
-            provider_raw,
-            {"kind", "base_url", "api_key_env", "replies"},
-            f"{path}: annotator.provider",
-        )
-        provider = ProviderSettings(
-            kind=provider_raw.get("kind", "openai"),
-            base_url=provider_raw.get("base_url", "https://api.openai.com/v1"),
-            api_key_env=provider_raw.get("api_key_env", "OPENAI_API_KEY"),
-            replies=(
-                _resolve(base, provider_raw["replies"])
-                if "replies" in provider_raw
-                else None
-            ),
-        )
-        if provider.kind not in ("openai", "mock"):
-            raise ConfigError(f"{path}: unknown provider kind {provider.kind!r}")
+            provider_raw = section.get("provider") or {}
+            check_object(provider_raw, {}, _PROVIDER_KEYS, "annotator.provider")
+            provider = ProviderSettings(**_fields(provider_raw, _PROVIDER_KEYS))
+            if provider.replies is not None:
+                provider.replies = _resolve(base, provider.replies)
+            if provider.kind not in ("openai", "mock"):
+                raise ConfigError(f"unknown provider kind {provider.kind!r}")
 
-    gamma = GammaConfig()
-    if "metrics" in raw:
-        metrics_raw = raw["metrics"]
-        _reject_unknown(metrics_raw, {"gamma"}, f"{path}: metrics")
-        gamma_raw = metrics_raw.get("gamma", {})
-        _reject_unknown(
-            gamma_raw,
-            {"alpha", "beta", "delta_empty", "n_samples", "seed"},
-            f"{path}: metrics.gamma",
+        metrics = raw.get("metrics") or {}
+        check_object(metrics, {}, {"gamma": dict}, "metrics")
+        gamma_raw = metrics.get("gamma") or {}
+        check_object(
+            gamma_raw, {}, {**_DISSIMILARITY_KEYS, **_GAMMA_KEYS}, "metrics.gamma"
         )
-        try:
-            gamma = GammaConfig(
-                dissimilarity=DissimilarityConfig(
-                    alpha=gamma_raw.get("alpha", 1.0),
-                    beta=gamma_raw.get("beta", 1.0),
-                    delta_empty=gamma_raw.get("delta_empty", 1.0),
-                ),
-                n_samples=gamma_raw.get("n_samples", 30),
-                seed=gamma_raw.get("seed", 42),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        gamma = GammaConfig(
+            dissimilarity=DissimilarityConfig(**_fields(gamma_raw, _DISSIMILARITY_KEYS)),
+            **_fields(gamma_raw, _GAMMA_KEYS),
+        )
+    except ValueError as exc:  # also invalid JSON, IngestError and TemplateError
+        raise ConfigError(f"{path}: {exc}") from exc
 
     return RunConfig(
         corpus=_resolve(base, raw["corpus"]),
         categories=_resolve(base, raw["categories"]),
         output_dir=_resolve(base, raw["output_dir"]),
-        campaigns=campaigns,
-        cache=_resolve(base, raw["cache"]) if "cache" in raw else None,
+        campaigns={name: _resolve(base, value) for name, value in campaigns.items()},
+        cache=_resolve(base, raw["cache"]) if raw.get("cache") is not None else None,
         annotator=annotator,
         provider=provider,
         gamma=gamma,
@@ -237,6 +208,14 @@ def _make_adapter(config: RunConfig):
     )
 
 
+def _load_named_campaign(config: RunConfig, name: str, dataset: Dataset) -> Campaign:
+    if name not in config.campaigns:
+        raise ConfigError(
+            f"campaign {name!r} not in config (have: {sorted(config.campaigns)})"
+        )
+    return load_campaign(config.campaigns[name], dataset)
+
+
 def cmd_annotate(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_run_config(args.config), args)
     dataset = load_dataset(config.corpus, config.categories)
@@ -270,15 +249,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_run_config(args.config), args)
     dataset = load_dataset(config.corpus, config.categories)
-    campaigns = {}
-    for name in (args.reference, args.candidate):
-        if name not in config.campaigns:
-            raise ConfigError(
-                f"campaign {name!r} not in config (have: {sorted(config.campaigns)})"
-            )
-        campaigns[name] = load_campaign(config.campaigns[name], dataset)
-    reference = campaigns[args.reference]
-    candidate = campaigns[args.candidate]
+    reference = _load_named_campaign(config, args.reference, dataset)
+    candidate = _load_named_campaign(config, args.candidate, dataset)
 
     score_report = aggregate(dataset, reference, candidate, config.gamma)
     confusion = confusion_matrix(reference, candidate, dataset.k)
@@ -315,11 +287,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_run_config(args.config), args)
     dataset = load_dataset(config.corpus, config.categories)
-    if args.campaign not in config.campaigns:
-        raise ConfigError(
-            f"campaign {args.campaign!r} not in config (have: {sorted(config.campaigns)})"
-        )
-    campaign = load_campaign(config.campaigns[args.campaign], dataset)
+    campaign = _load_named_campaign(config, args.campaign, dataset)
     stats = annotation_stats(campaign)
     for line in stats_lines(campaign.annotator_id, stats):
         print(line)

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 from .model import (
     AnnotationSet,
@@ -71,13 +71,45 @@ class CategoryFile:
     guidelines: str
 
 
-def _require_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
-    missing = required - obj.keys()
-    if missing:
-        raise IngestError(f"{where}: missing keys {sorted(missing)}")
-    unknown = obj.keys() - required - optional
-    if unknown:
-        raise IngestError(f"{where}: unknown keys {sorted(unknown)}")
+# Names of the JSON types that check_object takes; (int, float) is a number.
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean", list: "a list",
+               dict: "an object", (int, float): "a number", float: "a number",
+               type(None): "null"}
+
+
+def _type_name(value: Any) -> str:
+    return _TYPE_NAMES.get(type(value), type(value).__name__)
+
+
+# A record's keys and their JSON types, as check_object takes them.
+KeyTypes = Mapping[str, "type | tuple[type, ...]"]
+
+
+def check_object(obj: Any, required: KeyTypes, optional: KeyTypes, where: str) -> None:
+    """Check one JSON record: an object with every required key, no key
+    outside required and optional, and each value of its declared type.
+
+    A bool is never accepted as an int or a number. Null for an optional
+    key passes, as if the key were absent. Raises IngestError naming the
+    key.
+    """
+    if not isinstance(obj, dict):
+        raise IngestError(f"{where}: expected an object, got {_type_name(obj)}")
+    if not required.keys() <= obj.keys():
+        raise IngestError(f"{where}: missing keys {sorted(required.keys() - obj.keys())}")
+    for key, value in obj.items():
+        expected = required.get(key) or optional.get(key)
+        if expected is None:
+            unknown = obj.keys() - required.keys() - optional.keys()
+            raise IngestError(f"{where}: unknown keys {sorted(unknown)}")
+        if isinstance(value, expected) and (expected is bool or type(value) is not bool):
+            continue
+        if value is None and key not in required:
+            continue
+        raise IngestError(
+            f"{where}: {key!r} must be {_TYPE_NAMES[expected]}, "
+            f"got {_type_name(value)}"
+        )
 
 
 def load_category_file(path: str | Path) -> CategoryFile:
@@ -87,24 +119,27 @@ def load_category_file(path: str | Path) -> CategoryFile:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
-    if not isinstance(payload, dict):
-        raise IngestError(f"{path}: category file must be a JSON object")
-    _require_keys(
-        payload, {"task", "no_overlap", "categories", "guidelines"}, set(), str(path)
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 at byte {exc.start}") from exc
+    check_object(
+        payload,
+        {"task": str, "no_overlap": bool, "categories": list, "guidelines": str},
+        {},
+        str(path),
     )
     entries = payload["categories"]
-    if not isinstance(entries, list) or not entries:
+    if not entries:
         raise IngestError(f"{path}: categories must be a non-empty list")
     categories = []
     for pos, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise IngestError(f"{path}: category {pos} is not an object")
-        _require_keys(entry, {"index", "name"}, {"description"}, f"{path}: category {pos}")
+        check_object(
+            entry, {"index": int, "name": str}, {"description": str}, f"{path}: category {pos}"
+        )
         categories.append(
             Category(
                 index=entry["index"],
                 name=entry["name"],
-                description=entry.get("description", ""),
+                description=entry.get("description") or "",
             )
         )
     try:
@@ -113,7 +148,7 @@ def load_category_file(path: str | Path) -> CategoryFile:
         raise IngestError(f"{path}: {exc}") from exc
     return CategoryFile(
         task=payload["task"],
-        no_overlap=bool(payload["no_overlap"]),
+        no_overlap=payload["no_overlap"],
         categories=category_set,
         guidelines=payload["guidelines"],
     )
@@ -128,16 +163,26 @@ def bundled_category_file(task: str) -> CategoryFile:
         return load_category_file(path)
 
 
-def _read_jsonl(path: Path) -> list[tuple[int, Any]]:
+def read_jsonl(path: Path, required: KeyTypes, optional: KeyTypes) -> list[tuple[int, dict]]:
+    """(line number, record) for every non-blank line of a JSONL file,
+    each record checked by check_object."""
     rows = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(path, lineno, f"not UTF-8 at byte {exc.start}") from exc
+            if not text.strip():
                 continue
             try:
-                rows.append((lineno, json.loads(line)))
+                row = json.loads(text)
+                check_object(row, required, optional, "line")
             except json.JSONDecodeError as exc:
                 raise ParseError(path, lineno, f"invalid JSON: {exc.msg}") from exc
+            except IngestError as exc:
+                raise ParseError(path, lineno, str(exc)) from exc
+            rows.append((lineno, row))
     return rows
 
 
@@ -151,14 +196,10 @@ def load_dataset(corpus_path: str | Path, category_path: str | Path) -> Dataset:
     schema = load_category_file(category_path)
     examples = []
     seen: dict[str, int] = {}
-    for lineno, row in _read_jsonl(corpus_path):
-        if not isinstance(row, dict):
-            raise ParseError(corpus_path, lineno, "corpus line is not an object")
-        try:
-            _require_keys(row, {"id", "text"}, {"source", "task", "metadata"}, "line")
-        except IngestError as exc:
-            raise ParseError(corpus_path, lineno, str(exc)) from exc
-        task = row.get("task", schema.task)
+    for lineno, row in read_jsonl(
+        corpus_path, {"id": str, "text": str}, {"source": str, "task": str, "metadata": dict}
+    ):
+        task = schema.task if row.get("task") is None else row["task"]
         if task != schema.task:
             raise ParseError(
                 corpus_path,
@@ -179,7 +220,7 @@ def load_dataset(corpus_path: str | Path, category_path: str | Path) -> Dataset:
                     text=row["text"],
                     source=row.get("source"),
                     task=task,
-                    metadata=row.get("metadata", {}),
+                    metadata=row.get("metadata") or {},
                 )
             )
         except ModelError as exc:
@@ -207,11 +248,13 @@ def annotation_to_dict(a: SpanAnnotation) -> dict:
     return out
 
 
+_SPAN_KEYS = {"start": int, "end": int, "type": int}
+_SPAN_OPTIONAL_KEYS = {"reason": str, "text": str}
+
+
 def annotation_from_dict(obj: Any, where: str) -> SpanAnnotation:
     """Decode one span written by annotation_to_dict; raises IngestError."""
-    if not isinstance(obj, dict):
-        raise IngestError(f"{where}: annotation is not an object")
-    _require_keys(obj, {"start", "end", "type"}, {"reason", "text"}, where)
+    check_object(obj, _SPAN_KEYS, _SPAN_OPTIONAL_KEYS, where)
     try:
         return SpanAnnotation(
             start=obj["start"],
@@ -220,7 +263,7 @@ def annotation_from_dict(obj: Any, where: str) -> SpanAnnotation:
             reason=obj.get("reason"),
             surface=obj.get("text"),
         )
-    except (ModelError, TypeError) as exc:
+    except ModelError as exc:
         raise IngestError(f"{where}: {exc}") from exc
 
 
@@ -253,15 +296,9 @@ def load_campaign(path: str | Path, dataset: Dataset) -> Campaign:
     sets: dict[str, AnnotationSet] = {}
     traces: dict[str, Trace] = {}
     annotator_id = ""
-    for lineno, row in _read_jsonl(path):
-        if not isinstance(row, dict):
-            raise ParseError(path, lineno, "campaign line is not an object")
-        try:
-            _require_keys(
-                row, {"example_id", "annotator_id", "annotations"}, {"failed"}, "line"
-            )
-        except IngestError as exc:
-            raise ParseError(path, lineno, str(exc)) from exc
+    for lineno, row in read_jsonl(
+        path, {"example_id": str, "annotator_id": str, "annotations": list}, {"failed": bool}
+    ):
         example_id = row["example_id"]
         if example_id in sets:
             raise DuplicateId(f"{path}:{lineno}: duplicate example {example_id!r}")

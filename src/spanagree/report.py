@@ -4,6 +4,7 @@ programmatic use, CSV tables render 3 decimals for reading."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 from typing import Any
@@ -42,8 +43,26 @@ PER_EXAMPLE_COLUMNS = [
 ]
 
 
+# Columns named differently from the field they show.
+_FIELD_NAMES = {"candidate": "candidate_id", "reference": "reference_id"}
+
+# Columns written as they are; every other column is a float rendered by fmt3.
+_RAW_COLUMNS = {"candidate", "reference", "example_id", "status", "n_reference", "n_candidate"}
+
+
 def fmt3(value: float | None) -> str:
     return "" if value is None else f"{value:.3f}"
+
+
+def _values(record: Any, columns: list[str]) -> dict[str, Any]:
+    return {column: getattr(record, _FIELD_NAMES.get(column, column)) for column in columns}
+
+
+def _csv_row(values: dict[str, Any]) -> list:
+    return [
+        value if column in _RAW_COLUMNS else fmt3(value)
+        for column, value in values.items()
+    ]
 
 
 def report_to_dict(
@@ -59,49 +78,21 @@ def report_to_dict(
         "reference": report.reference_id,
         "candidate": report.candidate_id,
         "gamma_config": {
-            "alpha": report.gamma_config.dissimilarity.alpha,
-            "beta": report.gamma_config.dissimilarity.beta,
-            "delta_empty": report.gamma_config.dissimilarity.delta_empty,
+            **dataclasses.asdict(report.gamma_config.dissimilarity),
             "n_samples": report.gamma_config.n_samples,
             "seed": report.gamma_config.seed,
         },
         "counts": {
-            "examples": report.n_examples,
-            "scored": report.n_scored,
-            "empty_scored": report.n_empty_scored,
-            "failed": report.n_failed,
-            "gamma_scored": report.n_gamma_scored,
-            "gamma_skipped": report.n_gamma_skipped,
+            f.name.removeprefix("n_"): getattr(report, f.name)
+            for f in dataclasses.fields(report)
+            if f.name.startswith("n_")
         },
         "metrics": {
-            "pearson": report.pearson,
-            "precision_hard": report.precision_hard,
-            "precision_soft": report.precision_soft,
-            "recall_hard": report.recall_hard,
-            "recall_soft": report.recall_soft,
-            "f1_hard": report.f1_hard,
-            "f1_soft": report.f1_soft,
-            "f1_delta": report.f1_delta,
-            "gamma": report.gamma,
-            "s_empty": report.s_empty,
+            column: value
+            for column, value in _values(report, SUMMARY_COLUMNS).items()
+            if column not in _RAW_COLUMNS
         },
-        "examples": [
-            {
-                "example_id": row.example_id,
-                "status": row.status,
-                "n_reference": row.n_reference,
-                "n_candidate": row.n_candidate,
-                "precision_hard": row.precision_hard,
-                "recall_hard": row.recall_hard,
-                "f1_hard": row.f1_hard,
-                "precision_soft": row.precision_soft,
-                "recall_soft": row.recall_soft,
-                "f1_soft": row.f1_soft,
-                "s_empty": row.s_empty,
-                "gamma": row.gamma,
-            }
-            for row in report.examples
-        ],
+        "examples": [_values(row, PER_EXAMPLE_COLUMNS) for row in report.examples],
     }
     if confusion is not None:
         payload["confusion"] = {
@@ -128,22 +119,7 @@ def write_summary_csv(path: str | Path, report: ScoreReport) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(SUMMARY_COLUMNS)
-        writer.writerow(
-            [
-                report.candidate_id,
-                report.reference_id,
-                fmt3(report.pearson),
-                fmt3(report.precision_hard),
-                fmt3(report.precision_soft),
-                fmt3(report.recall_hard),
-                fmt3(report.recall_soft),
-                fmt3(report.f1_hard),
-                fmt3(report.f1_soft),
-                fmt3(report.f1_delta),
-                fmt3(report.gamma),
-                fmt3(report.s_empty),
-            ]
-        )
+        writer.writerow(_csv_row(_values(report, SUMMARY_COLUMNS)))
 
 
 def write_per_example_csv(path: str | Path, report: ScoreReport) -> None:
@@ -151,22 +127,7 @@ def write_per_example_csv(path: str | Path, report: ScoreReport) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(PER_EXAMPLE_COLUMNS)
         for row in report.examples:
-            writer.writerow(
-                [
-                    row.example_id,
-                    row.status,
-                    row.n_reference,
-                    row.n_candidate,
-                    fmt3(row.precision_hard),
-                    fmt3(row.recall_hard),
-                    fmt3(row.f1_hard),
-                    fmt3(row.precision_soft),
-                    fmt3(row.recall_soft),
-                    fmt3(row.f1_soft),
-                    fmt3(row.s_empty),
-                    fmt3(row.gamma),
-                ]
-            )
+            writer.writerow(_csv_row(_values(row, PER_EXAMPLE_COLUMNS)))
 
 
 def write_confusion_csv(

@@ -201,6 +201,20 @@ class TestAnnotateDataset:
         with pytest.raises(CacheError, match=r"cache\.jsonl: the record for example 'a'"):
             annotate_dataset(dataset, config(), self.full_mock(), cache)
 
+    def test_null_record_fields_read_as_their_defaults(self, dataset, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        annotate_dataset(dataset, config(), self.full_mock(), cache)
+        records = [json.loads(l) for l in cache.read_text().splitlines()]
+        for record in records:
+            if record["example_id"] == "a":
+                for field in ("model_id", "variant", "raw_output", "reasoning",
+                              "latency_s", "retries"):
+                    record[field] = None
+                record["usage"] = {"prompt_tokens": None, "completion_tokens": None}
+        cache.write_text("".join(json.dumps(r) + "\n" for r in records))
+        resumed = annotate_dataset(dataset, config(), self.full_mock(), cache)
+        assert resumed.traces["a"] == Trace(example_id="a")
+
     def test_cache_records_decode_to_the_annotated_sets(self, dataset, tmp_path):
         cache = tmp_path / "cache.jsonl"
         adapter = MockAdapter({

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import spanagree
+from spanagree.annotator.runner import cache_key
 from spanagree.cli import ConfigError, _apply_overrides, build_parser, load_run_config, main
 
 from conftest import FIXTURES, write_bundled_categories
@@ -44,6 +45,9 @@ def mock_config(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config, indent=2))
     return path, out
+
+
+DELETE = object()
 
 
 @pytest.fixture
@@ -107,6 +111,19 @@ class TestConfigLoading:
         config = load_run_config(path)
         assert config.corpus == tmp_path / "data/corpus.jsonl"
         assert config.output_dir == tmp_path / "out"
+
+    def test_null_annotator_seed_sends_unseeded_requests(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "corpus": "x", "categories": "y", "output_dir": "z",
+            "annotator": {"model_id": "m", "seed": None},
+        }))
+        config = load_run_config(path)
+        assert config.annotator.decoding.seed is None
+        # the key an unseeded config has always had, so its cache still hits
+        assert cache_key(config.annotator, "prompt") == (
+            "158624b6fb65c7ca8caac08201144708e7d1c09736706f45497ed7c2814b4d09"
+        )
 
     def test_unknown_variant_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -180,6 +197,62 @@ class TestExitCodes:
     def test_unknown_campaign_id_exits_2(self, mock_config, capsys):
         path, _ = mock_config
         assert main(["stats", "--config", str(path), "missing"]) == 2
+
+    @pytest.mark.parametrize("command, file, key, value, named", [
+        ("evaluate", "run.json", "metrics", [], "metrics"),
+        ("evaluate", "run.json", "metrics.gamma", 5, "gamma"),
+        ("evaluate", "run.json", "campaigns", [], "campaigns"),
+        ("evaluate", "run.json", "corpus", 5, "corpus"),
+        ("annotate", "run.json", "annotator", [], "annotator"),
+        ("annotate", "run.json", "annotator.provider", [], "provider"),
+        ("annotate", "run.json", "annotator.max_retries", "3", "max_retries"),
+        ("annotate", "run.json", "annotator.concurrency", 1.5, "concurrency"),
+        ("annotate", "run.json", "annotator.fewshot", [1], "fewshot"),
+        ("evaluate", "run.json", "metrics.gamma.n_samples", "30", "n_samples"),
+        ("evaluate", "run.json", "metrics.gamma.n_samples", 2.5, "n_samples"),
+        ("evaluate", "run.json", "metrics.gamma.alpha", "1", "alpha"),
+        ("evaluate", "corpus.jsonl", "id", [1], "id"),
+        ("evaluate", "corpus.jsonl", "text", 5, "text"),
+        ("evaluate", "corpus.jsonl", "metadata", 5, "metadata"),
+        ("evaluate", "corpus.jsonl", None, b'{"id": "ex01", "text": "caf\xe9"}', "UTF-8"),
+        ("evaluate", "categories.json", "categories.0.index", "0", "index"),
+        ("evaluate", "gold.jsonl", "annotations", 5, "annotations"),
+        ("evaluate", "gold.jsonl", "example_id", [1], "example_id"),
+        ("annotate", "replies.jsonl", None, b"{not json", "invalid JSON"),
+        ("annotate", "replies.jsonl", "example_id", DELETE, "example_id"),
+        ("annotate", "replies.jsonl", "replies", [], "replies"),
+    ])
+    def test_malformed_input_exits_2_naming_file_and_key(
+        self, relative_run, capsys, command, file, key, value, named
+    ):
+        # the llm campaign to evaluate against, from the valid inputs
+        assert main(["annotate", "--config", str(relative_run)]) == 0
+        capsys.readouterr()
+        target = relative_run.parent / file
+        jsonl = file.endswith(".jsonl")
+        lines = target.read_bytes().splitlines(keepends=True)
+        if key is None:
+            lines[0] = value + b"\n"
+        else:
+            record = json.loads(lines[0] if jsonl else b"".join(lines))
+            *parents, last = key.split(".")
+            inner = record
+            for part in parents:
+                inner = inner[int(part)] if part.isdigit() else inner[part]
+            if value is DELETE:
+                del inner[last]
+            else:
+                inner[last] = value
+            lines = [json.dumps(record).encode() + b"\n", *(lines[1:] if jsonl else [])]
+        target.write_bytes(b"".join(lines))
+
+        names = ["gold", "llm"] if command == "evaluate" else []
+        assert main([command, "--config", str(relative_run), *names]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert (f"{file}:1: " if jsonl else f"{file}: ") in err
+        assert named in err
 
 
 class TestCommands:

@@ -14,6 +14,7 @@ from spanagree.ingest import (
     ParseError,
     UnknownTechnique,
     bundled_category_file,
+    check_object,
     export_campaign,
     import_offset_tsv,
     load_campaign,
@@ -55,6 +56,34 @@ class TestBundledCategories:
     def test_guidelines_present_where_expected(self):
         assert bundled_category_file("d2t").guidelines.startswith("Examples:")
         assert bundled_category_file("propaganda").guidelines == ""
+
+
+class TestCheckObject:
+    REQUIRED = {"n": int, "x": (int, float)}
+    OPTIONAL = {"flag": bool, "name": str}
+
+    @pytest.mark.parametrize("obj", [
+        {"n": 1, "x": 2},
+        {"n": 1, "x": 2.5, "flag": False, "name": "a"},
+        {"n": 1, "x": 2, "flag": None, "name": None},
+    ])
+    def test_accepts(self, obj):
+        check_object(obj, self.REQUIRED, self.OPTIONAL, "rec")
+
+    @pytest.mark.parametrize("obj, message", [
+        ([1], "rec: expected an object, got a list"),
+        ({"n": 1}, r"rec: missing keys \['x'\]"),
+        ({"n": 1, "x": 2, "z": 0}, r"rec: unknown keys \['z'\]"),
+        ({"n": True, "x": 2}, "rec: 'n' must be an integer, got a boolean"),
+        ({"n": 1, "x": False}, "rec: 'x' must be a number, got a boolean"),
+        ({"n": 1.0, "x": 2}, "rec: 'n' must be an integer, got a number"),
+        ({"n": None, "x": 2}, "rec: 'n' must be an integer, got null"),
+        ({"n": 1, "x": "2"}, "rec: 'x' must be a number, got a string"),
+        ({"n": 1, "x": 2, "flag": 1}, "rec: 'flag' must be a boolean, got an integer"),
+    ])
+    def test_rejects_naming_the_key(self, obj, message):
+        with pytest.raises(IngestError, match=message):
+            check_object(obj, self.REQUIRED, self.OPTIONAL, "rec")
 
 
 class TestLoadCategoryFile:
@@ -112,6 +141,13 @@ class TestLoadDataset:
         ])
         with pytest.raises(ParseError, match="does not match"):
             load_dataset(corpus, categories)
+
+    def test_null_task_takes_category_file_task(self, tmp_path):
+        categories = write_bundled_categories(tmp_path, "mt")
+        corpus = write_corpus(tmp_path / "corpus.jsonl", [
+            {"id": "a", "text": "x", "task": None},
+        ])
+        assert load_dataset(corpus, categories).examples[0].task == "mt"
 
     def test_invalid_json_line_number(self, tmp_path):
         categories = write_bundled_categories(tmp_path, "d2t")
