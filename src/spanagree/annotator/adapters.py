@@ -175,7 +175,7 @@ class OpenAIChatAdapter:
             body = response.json()
         except requests.RequestException as exc:
             raise ProviderError(f"chat completion request failed: {exc}") from exc
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise ProviderError(f"provider returned invalid JSON: {exc}") from exc
         latency = time.monotonic() - started
         try:

@@ -14,7 +14,7 @@ import hashlib
 import json
 import logging
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -26,7 +26,13 @@ from ..grounding import (
     parse_annotation_payload,
     split_reasoning,
 )
-from ..ingest import IngestError, annotation_from_dict, annotation_to_dict, check_object
+from ..ingest import (
+    IngestError,
+    annotation_from_dict,
+    annotation_to_dict,
+    check_object,
+    decode_json,
+)
 from ..model import (
     AnnotationSet,
     Campaign,
@@ -148,7 +154,7 @@ class TraceCache:
                 if not line.strip():
                     continue
                 try:
-                    record = json.loads(line)
+                    record = decode_json(line)
                     self._records[record["key"]] = record
                 except (ValueError, KeyError, TypeError) as exc:
                     raise CacheError(
@@ -241,7 +247,7 @@ def annotate_example(
         if config.schema_mode is SchemaMode.CONSTRAINED:
             reasoning = ""
             try:
-                payload = json.loads(raw)
+                payload = decode_json(raw)
             except json.JSONDecodeError:
                 failures += 1
                 continue
@@ -342,6 +348,18 @@ def annotate_dataset(
     than aborting the run.
     """
     cache = TraceCache(cache_path) if cache_path is not None else None
+
+    # The worker writes each record as its example finishes, so a kill
+    # loses only the examples still running, not those that finished
+    # behind a slow one. With one worker the records keep example order.
+    def annotate_and_cache(
+        example: Example, key: str, prompt: str
+    ) -> tuple[AnnotationSet, Trace]:
+        aset, trace = annotate_example(example, dataset, config, adapter, prompt)
+        if cache is not None:
+            cache.put(key, trace_record(trace, aset))
+        return aset, trace
+
     templates: dict[str, PromptTemplate] = {}
     results: dict[str, tuple[AnnotationSet, Trace]] = {}
 
@@ -367,14 +385,15 @@ def annotate_dataset(
                 else:
                     pending.append((example, key, prompt))
             futures = [
-                pool.submit(annotate_example, example, dataset, config, adapter, prompt)
-                for example, _, prompt in pending
+                pool.submit(annotate_and_cache, example, key, prompt)
+                for example, key, prompt in pending
             ]
-            for (example, key, _), future in zip(pending, futures):
-                aset, trace = future.result()
-                results[example.id] = (aset, trace)
-                if cache is not None:
-                    cache.put(key, trace_record(trace, aset))
+            # Sleeping until the whole batch is done keeps this thread from
+            # waking, and taking the interpreter lock from the workers, each
+            # time a worker releases it to write a record.
+            wait(futures)
+            for (example, _, _), future in zip(pending, futures):
+                results[example.id] = future.result()
 
     sets = {example_id: aset for example_id, (aset, _) in results.items()}
     traces = {example_id: trace for example_id, (_, trace) in results.items()}

@@ -29,7 +29,14 @@ from .annotator import (
     trace_record,
 )
 from .gamma import DissimilarityConfig, GammaConfig
-from .ingest import IngestError, check_object, export_campaign, load_campaign, load_dataset
+from .ingest import (
+    IngestError,
+    check_object,
+    decode_json,
+    export_campaign,
+    load_campaign,
+    load_dataset,
+)
 from .metrics import (
     MetricError,
     aggregate,
@@ -116,7 +123,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     raw_bytes = path.read_bytes()
     base = path.parent
     try:
-        raw = json.loads(raw_bytes)
+        raw = decode_json(raw_bytes)
         check_object(
             raw,
             {"corpus": str, "categories": str, "output_dir": str},

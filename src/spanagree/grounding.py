@@ -9,13 +9,13 @@ dropped and reported; wrong offsets are worse than missing spans.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from typing import Any
 
 from .model import SpanAnnotation
 
-_THINK_RE = re.compile(r"<think>.*?</think>", re.DOTALL)
+_OPEN, _CLOSE = "<think>", "</think>"
+_DECODER = json.JSONDecoder()
 
 # Drop reason codes used in GroundingReport.notes.
 NOTE_UNMATCHED = "unmatched-surface"
@@ -75,76 +75,46 @@ class GroundingReport:
         self.notes.extend(other.notes)
 
 
-def strip_reasoning_markup(raw: str) -> str:
-    """Remove every balanced ``<think>...</think>`` region.
+def split_reasoning(raw: str) -> tuple[str, str]:
+    """Remove every balanced ``<think>...</think>`` region and return the
+    rest with the removed reasoning (tag contents joined by newlines).
 
     Each opening tag pairs with the next closing tag; text outside the
     removed regions is preserved verbatim, so an unpaired trailing tag
     stays in place.
     """
-    return _THINK_RE.sub("", raw)
+    kept: list[str] = []
+    reasoning: list[str] = []
+    pos = 0
+    while (start := raw.find(_OPEN, pos)) >= 0:
+        end = raw.find(_CLOSE, start + len(_OPEN))
+        if end < 0:
+            break
+        kept.append(raw[pos:start])
+        reasoning.append(raw[start + len(_OPEN) : end])
+        pos = end + len(_CLOSE)
+    kept.append(raw[pos:])
+    return "".join(kept), "\n".join(reasoning)
 
 
-def split_reasoning(raw: str) -> tuple[str, str]:
-    """Like strip_reasoning_markup, but also return the removed reasoning
-    text (tag contents concatenated with newlines)."""
-    parts = [m.group(0)[len("<think>"):-len("</think>")] for m in _THINK_RE.finditer(raw)]
-    return _THINK_RE.sub("", raw), "\n".join(parts)
-
-
-def _scan_balanced(text: str, start: int) -> int | None:
-    """Return the end offset (exclusive) of the brace-balanced region
-    opening at ``text[start] == '{'``, or None if it never closes.
-    Braces inside JSON strings are ignored, including escaped quotes."""
-    depth = 0
-    in_string = False
-    escaped = False
-    for i in range(start, len(text)):
-        ch = text[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return None
-
-
-def extract_last_json_object(text: str) -> Any:
+def extract_last_json_object(text: str) -> dict[str, Any]:
     """Return the last substring of ``text`` that parses as a complete
     top-level JSON object.
 
-    Scanning is brace-balance- and string-escape-aware, so braces inside
-    string values do not terminate a candidate. Candidates that fail to
-    parse are skipped (their interior is still searched). Raises
-    NoJsonFound if nothing parses.
+    Each ``{`` is tried with the standard decoder; a success resumes the
+    search after the object, a failure (including nesting too deep for
+    the decoder) at the next ``{``, so the interior of an invalid
+    candidate is still searched. Raises NoJsonFound if nothing parses.
     """
-    last: Any = None
-    found = False
-    i = 0
-    while i < len(text):
-        if text[i] == "{":
-            end = _scan_balanced(text, i)
-            if end is not None:
-                try:
-                    last = json.loads(text[i:end])
-                except json.JSONDecodeError:
-                    pass
-                else:
-                    found = True
-                    i = end
-                    continue
-        i += 1
-    if not found:
+    last = None
+    i = text.find("{")
+    while i >= 0:
+        try:
+            last, end = _DECODER.raw_decode(text, i)
+        except (json.JSONDecodeError, RecursionError):
+            end = i + 1
+        i = text.find("{", end)
+    if last is None:
         raise NoJsonFound("no parseable top-level JSON object in model output")
     return last
 

@@ -112,11 +112,21 @@ def check_object(obj: Any, required: KeyTypes, optional: KeyTypes, where: str) -
         )
 
 
+def decode_json(data: str | bytes) -> Any:
+    """``json.loads``, except that input nested too deeply for the decoder
+    raises JSONDecodeError, like any other invalid JSON, instead of
+    RecursionError; callers report both with their file and line."""
+    try:
+        return json.loads(data)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", "", 0) from None
+
+
 def load_category_file(path: str | Path) -> CategoryFile:
     """Load and validate a category JSON file."""
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = decode_json(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
@@ -176,7 +186,7 @@ def read_jsonl(path: Path, required: KeyTypes, optional: KeyTypes) -> list[tuple
             if not text.strip():
                 continue
             try:
-                row = json.loads(text)
+                row = decode_json(text)
                 check_object(row, required, optional, "line")
             except json.JSONDecodeError as exc:
                 raise ParseError(path, lineno, f"invalid JSON: {exc.msg}") from exc

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+import requests
 
 from spanagree.annotator import (
     AnnotatorConfig,
@@ -102,6 +104,15 @@ class TestAnnotateExample:
         )
         assert len(aset) == 1
 
+    def test_constrained_too_deep_body_is_retried(self, dataset):
+        deep = '{"annotations": ' * 3000 + "[]" + "}" * 3000
+        adapter = MockAdapter({"a": [deep, reply([{"reason": "", "text": "cat", "type": 0}])]})
+        aset, trace = annotate_example(
+            dataset["a"], dataset, config(schema_mode=SchemaMode.CONSTRAINED), adapter
+        )
+        assert len(aset) == 1
+        assert trace.retries == 1 and trace.failed is False
+
     def test_trace_record_wire_format(self, dataset):
         adapter = MockAdapter({"a": [reply([{"reason": "why", "text": "cat", "type": 1}])]})
         aset, trace = annotate_example(dataset["a"], dataset, config(), adapter)
@@ -179,6 +190,14 @@ class TestAnnotateDataset:
         lines = cache.read_text().splitlines()
         cache.write_text("\n".join([lines[0][:10], *lines[1:]]) + "\n")
         with pytest.raises(CacheError, match="line 1"):
+            annotate_dataset(dataset, config(), self.full_mock(), cache)
+
+    def test_too_deep_inner_line_raises_cache_error(self, dataset, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        annotate_dataset(dataset, config(), self.full_mock(), cache)
+        lines = cache.read_text().splitlines()
+        cache.write_text("\n".join(["[" * 100_000, *lines]) + "\n")
+        with pytest.raises(CacheError, match="line 1 .*nested too deeply"):
             annotate_dataset(dataset, config(), self.full_mock(), cache)
 
     @pytest.mark.parametrize("field, value", [
@@ -297,6 +316,33 @@ class TestAnnotateDataset:
         assert dict(serial.sets) == dict(threaded.sets)
         assert serial.failed_ids() == threaded.failed_ids()
 
+    def test_each_record_is_written_as_its_example_finishes(self, dataset, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        seen = []
+
+        class SlowFirstExample(MockAdapter):
+            # "a" waits for "b", which the other worker annotates, to be cached
+            def complete(self, prompt, decoding, schema=None, request_id=""):
+                if request_id == "a":
+                    deadline = time.monotonic() + 5.0
+                    while not self.cached("b") and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    seen.append(self.cached("b"))
+                return super().complete(prompt, decoding, schema, request_id)
+
+            @staticmethod
+            def cached(example_id):
+                return cache.exists() and f'"example_id": "{example_id}"' in cache.read_text()
+
+        adapter = SlowFirstExample({
+            "a": [reply([{"reason": "", "text": "cat", "type": 0}])],
+            "b": [reply([])],
+            "c": [reply([])],
+        })
+        campaign = annotate_dataset(dataset, config(concurrency_limit=2), adapter, cache)
+        assert seen == [True]
+        assert sorted(campaign.sets) == ["a", "b", "c"]
+
     def test_works_without_cache(self, dataset):
         campaign = annotate_dataset(dataset, config(), self.full_mock())
         assert len(campaign) == 3
@@ -375,4 +421,20 @@ class TestOpenAIChatAdapter:
             timeout=0.2,
         )
         with pytest.raises(ProviderError):
+            adapter.complete("x", DecodingParams())
+
+    def test_too_deep_response_body_is_a_provider_error(self, monkeypatch):
+        monkeypatch.setenv("SPANAGREE_TEST_KEY", "sk-unit")
+        response = requests.Response()
+        response.status_code = 200
+        response._content = b"[" * 100_000
+
+        class Session:
+            def post(self, *args, **kwargs):
+                return response
+
+        adapter = OpenAIChatAdapter(
+            model_id="m", api_key_env="SPANAGREE_TEST_KEY", session=Session()
+        )
+        with pytest.raises(ProviderError, match="invalid JSON"):
             adapter.complete("x", DecodingParams())

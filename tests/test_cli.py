@@ -221,6 +221,10 @@ class TestExitCodes:
         ("annotate", "replies.jsonl", None, b"{not json", "invalid JSON"),
         ("annotate", "replies.jsonl", "example_id", DELETE, "example_id"),
         ("annotate", "replies.jsonl", "replies", [], "replies"),
+        pytest.param("evaluate", "corpus.jsonl", None, b"[" * 100_000, "nested too deeply",
+                     id="evaluate-corpus.jsonl-too-deep"),
+        pytest.param("evaluate", "run.json", None, b"[" * 100_000, "nested too deeply",
+                     id="evaluate-run.json-too-deep"),
     ])
     def test_malformed_input_exits_2_naming_file_and_key(
         self, relative_run, capsys, command, file, key, value, named

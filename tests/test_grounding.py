@@ -1,8 +1,13 @@
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, strategies as st
+import json
+import re
+import time
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spanagree.annotator import AnnotatorConfig, MockAdapter, annotate_example
 from spanagree.grounding import (
     MissingAnnotationsKey,
     NoJsonFound,
@@ -12,28 +17,92 @@ from spanagree.grounding import (
     ground_annotations,
     parse_annotation_payload,
     split_reasoning,
-    strip_reasoning_markup,
 )
+
+from conftest import make_dataset
+
+# Reference implementations: the regex reasoning split and the
+# brace-scanning extractor that the str.find and raw_decode versions
+# replaced. They define the expected output on small inputs.
+_THINK_RE = re.compile(r"<think>.*?</think>", re.DOTALL)
+
+
+def reference_split_reasoning(raw: str) -> tuple[str, str]:
+    parts = [m.group(0)[len("<think>"):-len("</think>")] for m in _THINK_RE.finditer(raw)]
+    return _THINK_RE.sub("", raw), "\n".join(parts)
+
+
+def _scan_balanced(text: str, start: int) -> int | None:
+    depth = 0
+    in_string = False
+    escaped = False
+    for i in range(start, len(text)):
+        ch = text[i]
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                return i + 1
+    return None
+
+
+def reference_extract_last_json_object(text: str):
+    last = None
+    found = False
+    i = 0
+    while i < len(text):
+        if text[i] == "{":
+            end = _scan_balanced(text, i)
+            if end is not None:
+                try:
+                    last = json.loads(text[i:end])
+                except json.JSONDecodeError:
+                    pass
+                else:
+                    found = True
+                    i = end
+                    continue
+        i += 1
+    if not found:
+        raise NoJsonFound("no parseable top-level JSON object in model output")
+    return last
+
+
+def outcome(function, text: str):
+    try:
+        return repr(function(text))
+    except NoJsonFound:
+        return "NoJsonFound"
 
 
 class TestStripReasoning:
     def test_single_balanced_pair(self):
-        assert strip_reasoning_markup('<think>plan</think>{"annotations":[]}') == '{"annotations":[]}'
+        assert split_reasoning('<think>plan</think>{"annotations":[]}')[0] == '{"annotations":[]}'
 
     def test_no_tags_unchanged(self):
-        assert strip_reasoning_markup('{"annotations":[]}') == '{"annotations":[]}'
+        assert split_reasoning('{"annotations":[]}')[0] == '{"annotations":[]}'
 
     def test_two_balanced_pairs(self):
-        assert strip_reasoning_markup("<think>a</think>x<think>b</think>y") == "xy"
+        assert split_reasoning("<think>a</think>x<think>b</think>y")[0] == "xy"
 
     def test_unbalanced_tail_preserved(self):
-        assert strip_reasoning_markup("a<think>b</think>c<think>d") == "ac<think>d"
+        assert split_reasoning("a<think>b</think>c<think>d")[0] == "ac<think>d"
 
     def test_orphan_close_preserved(self):
-        assert strip_reasoning_markup("a</think>b") == "a</think>b"
+        assert split_reasoning("a</think>b")[0] == "a</think>b"
 
     def test_multiline_contents(self):
-        assert strip_reasoning_markup("<think>line1\nline2</think>rest") == "rest"
+        assert split_reasoning("<think>line1\nline2</think>rest")[0] == "rest"
 
     def test_split_reasoning_returns_removed_text(self):
         clean, reasoning = split_reasoning("<think>first</think>x<think>second</think>")
@@ -48,8 +117,21 @@ class TestStripReasoning:
     )
     def test_idempotent(self, tokens):
         raw = "".join(tokens)
-        once = strip_reasoning_markup(raw)
-        assert strip_reasoning_markup(once) == once
+        once = split_reasoning(raw)[0]
+        assert split_reasoning(once)[0] == once
+
+    @settings(max_examples=500)
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["<think>", "</think>", "<think", "think>", "x", "\n", "<", "/", ">"]
+            ),
+            max_size=14,
+        )
+    )
+    def test_matches_regex_reference(self, tokens):
+        raw = "".join(tokens)
+        assert split_reasoning(raw) == reference_split_reasoning(raw)
 
 
 class TestExtractLastJson:
@@ -76,9 +158,69 @@ class TestExtractLastJson:
     def test_unterminated_then_valid(self):
         assert extract_last_json_object('{broken {"a": 2}') == {"a": 2}
 
+    def test_failed_candidate_next_to_valid_one(self):
+        assert extract_last_json_object('{{"a": 2}') == {"a": 2}
+
     def test_no_object_raises(self):
         with pytest.raises(NoJsonFound):
             extract_last_json_object("nothing here [1, 2, 3]")
+
+    def test_too_deep_outer_falls_back_to_inner(self):
+        # the decoder gives up on the outer objects; the outermost one
+        # it can decode is returned
+        obj = extract_last_json_object('{"a": ' * 3000 + "1" + "}" * 3000)
+        depth = 0
+        while isinstance(obj, dict):
+            obj, depth = obj["a"], depth + 1
+        assert obj == 1 and 0 < depth < 3000
+
+    @settings(max_examples=500)
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["{", "}", '"', "\\", ":", ",", "1", "a", "[", "]", '"a"', '{"a":1}',
+                 "null", " "]
+            ),
+            max_size=14,
+        )
+    )
+    def test_matches_brace_scanner_reference(self, tokens):
+        text = "".join(tokens)
+        assert outcome(extract_last_json_object, text) == outcome(
+            reference_extract_last_json_object, text
+        )
+
+
+class TestHostileReplies:
+    """Truncated or hostile replies are parsed in time linear in their
+    length; each must finish well inside a worker's budget."""
+
+    @pytest.mark.parametrize("text", [
+        '{"a": ' * 8_000,
+        '{"x":[0,0,' * 4_800,
+    ], ids=["48k-unclosed-objects", "48k-unclosed-nested-arrays"])
+    def test_unclosed_objects_finish_fast(self, text):
+        started = time.perf_counter()
+        with pytest.raises(NoJsonFound):
+            extract_last_json_object(text)
+        assert time.perf_counter() - started < 5.0
+
+    def test_unclosed_think_tags_finish_fast(self):
+        raw = "<think>" * 16_000  # 112k chars
+        started = time.perf_counter()
+        assert split_reasoning(raw) == (raw, "")
+        assert time.perf_counter() - started < 5.0
+
+    def test_too_deep_reply_is_a_failed_attempt(self):
+        dataset = make_dataset({"a": "the cat sat"})
+        deep = '{"annotations": ' * 3000 + "[]" + "}" * 3000
+        valid = json.dumps({"annotations": [{"text": "cat", "type": 0}]})
+        adapter = MockAdapter({"a": [deep, valid]})
+        aset, trace = annotate_example(
+            dataset["a"], dataset, AnnotatorConfig(model_id="m"), adapter
+        )
+        assert [(s.start, s.end) for s in aset] == [(4, 7)]
+        assert trace.retries == 1 and not trace.failed
 
 
 class TestParsePayload:
