@@ -8,11 +8,11 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
 import requests
 
-from ..ingest import ParseError, read_jsonl
+from ..ingest import IngestError, KeyTypes, ParseError, check_object, read_jsonl
 
 
 @dataclass(frozen=True)
@@ -179,13 +179,31 @@ class OpenAIChatAdapter:
             raise ProviderError(f"provider returned invalid JSON: {exc}") from exc
         latency = time.monotonic() - started
         try:
-            text = body["choices"][0]["message"]["content"] or ""
-        except (KeyError, IndexError, TypeError) as exc:
+            body = _read_keys(body, "response", {"choices": list}, {"usage": dict})
+            if not body["choices"]:
+                raise IngestError("response: 'choices' is empty")
+            choice = _read_keys(body["choices"][0], "response choice 0", {"message": dict}, {})
+            message = _read_keys(choice["message"], "response message", {}, {"content": str})
+            usage = _read_keys(
+                body.get("usage") or {},
+                "response usage",
+                {},
+                {"prompt_tokens": int, "completion_tokens": int},
+            )
+        except IngestError as exc:
             raise ProviderError(f"malformed provider response: {exc}") from exc
-        usage = body.get("usage") or {}
         return CompletionResult(
-            text=text,
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
+            text=message.get("content") or "",
+            prompt_tokens=usage.get("prompt_tokens") or 0,
+            completion_tokens=usage.get("completion_tokens") or 0,
             latency_s=latency,
         )
+
+
+def _read_keys(obj: Any, where: str, required: KeyTypes, optional: KeyTypes) -> Any:
+    """The keys of a provider object that this client reads, checked with
+    check_object; any other key is the provider's own and is ignored."""
+    if isinstance(obj, dict):
+        obj = {key: value for key, value in obj.items() if key in required or key in optional}
+    check_object(obj, required, optional, where)
+    return obj

@@ -124,13 +124,57 @@ def _padded_matrix(pair: np.ndarray, penalty: float) -> np.ndarray:
 
 
 def _matching(pair: np.ndarray, penalty: float) -> tuple[float, list[tuple[int, int]]]:
-    """Optimal partial matching cost and its matched pairs."""
+    """Optimal partial matching cost and its matched pairs.
+
+    Only a pair costing less than 2 * penalty can beat leaving both
+    units unaligned, so the optimum splits into the connected
+    components of those useful pairs: an isolated unit stays unaligned,
+    a 1x1 component is matched directly and only larger components are
+    solved. Among cost ties the matching may differ from a solve of the
+    whole padded matrix; the total is summed in that solve's row order.
+    """
     n, m = pair.shape
     if n == 0 or m == 0:
         return penalty * (n + m), []
-    cols, total = solve_assignment(_padded_matrix(pair, penalty))
-    pairs = sorted((i, cols[i]) for i in range(n) if cols[i] < m)
-    return total, pairs
+    costs = pair.tolist()
+    # Union-find over left units 0..n-1 and right units n..n+m-1.
+    root = list(range(n + m))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    limit = 2.0 * penalty
+    for i, row in enumerate(costs):
+        for j, cost in enumerate(row):
+            if cost < limit:
+                root[find(i)] = find(n + j)
+    components: dict[int, list[int]] = {}
+    for x in range(n + m):
+        components.setdefault(find(x), []).append(x)
+
+    match: dict[int, int] = {}
+    for nodes in components.values():
+        if len(nodes) == 1:
+            continue
+        rows = [x for x in nodes if x < n]
+        cols = [x - n for x in nodes if x >= n]
+        if len(nodes) == 2:
+            match[rows[0]] = cols[0]
+            continue
+        sub, _ = solve_assignment(_padded_matrix(pair[np.ix_(rows, cols)], penalty))
+        match.update((i, cols[sub[k]]) for k, i in enumerate(rows) if sub[k] < len(cols))
+
+    total = 0.0
+    for i in range(n):
+        total += costs[i][match[i]] if i in match else penalty
+    matched = set(match.values())
+    for j in range(m):
+        if j not in matched:
+            total += penalty
+    return total, sorted(match.items())
 
 
 def _matching_cost(pair: np.ndarray, penalty: float) -> float:

@@ -112,14 +112,26 @@ def check_object(obj: Any, required: KeyTypes, optional: KeyTypes, where: str) -
         )
 
 
+class _TooDeep(json.JSONDecodeError):
+    """Input nested too deeply for the decoder, which does not say where
+    it gave up; so the message carries no position."""
+
+    def __init__(self):
+        super().__init__("nested too deeply", "", 0)
+
+    def __str__(self) -> str:
+        return self.msg
+
+
 def decode_json(data: str | bytes) -> Any:
     """``json.loads``, except that input nested too deeply for the decoder
     raises JSONDecodeError, like any other invalid JSON, instead of
-    RecursionError; callers report both with their file and line."""
+    RecursionError. Its message names no position: a caller reports
+    ``str(exc)``, or the line of a JSONL record."""
     try:
         return json.loads(data)
     except RecursionError:
-        raise json.JSONDecodeError("nested too deeply", "", 0) from None
+        raise _TooDeep() from None
 
 
 def load_category_file(path: str | Path) -> CategoryFile:
@@ -128,7 +140,7 @@ def load_category_file(path: str | Path) -> CategoryFile:
     try:
         payload = decode_json(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
+        raise IngestError(f"{path}: invalid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 at byte {exc.start}") from exc
     check_object(

@@ -423,18 +423,56 @@ class TestOpenAIChatAdapter:
         with pytest.raises(ProviderError):
             adapter.complete("x", DecodingParams())
 
-    def test_too_deep_response_body_is_a_provider_error(self, monkeypatch):
+    @staticmethod
+    def stub_adapter(monkeypatch, content: bytes) -> OpenAIChatAdapter:
+        """An adapter whose session answers every post with a 200 of ``content``."""
         monkeypatch.setenv("SPANAGREE_TEST_KEY", "sk-unit")
         response = requests.Response()
         response.status_code = 200
-        response._content = b"[" * 100_000
+        response._content = content
 
         class Session:
             def post(self, *args, **kwargs):
                 return response
 
-        adapter = OpenAIChatAdapter(
+        return OpenAIChatAdapter(
             model_id="m", api_key_env="SPANAGREE_TEST_KEY", session=Session()
         )
+
+    def test_too_deep_response_body_is_a_provider_error(self, monkeypatch):
+        adapter = self.stub_adapter(monkeypatch, b"[" * 100_000)
         with pytest.raises(ProviderError, match="invalid JSON"):
             adapter.complete("x", DecodingParams())
+
+    @pytest.mark.parametrize("body, named", [
+        ({"choices": [{"message": {"content": 5}}]}, "'content' must be a string"),
+        ({"choices": [{"message": {"content": "{}"}}], "usage": [1]}, "'usage' must be"),
+        ({"choices": [{"message": {"content": "{}"}}], "usage": {"prompt_tokens": "n/a"}},
+         "'prompt_tokens' must be an integer"),
+        ({"choices": [{"message": {"content": "{}"}}],
+          "usage": {"completion_tokens": True}}, "'completion_tokens' must be"),
+        ({"choices": []}, "'choices' is empty"),
+        ({"choices": [{"message": "hi"}]}, "'message' must be"),
+        ([1], "expected an object"),
+    ], ids=["content-int", "usage-list", "tokens-string", "tokens-bool", "no-choices",
+            "message-string", "body-list"])
+    def test_malformed_response_shape_is_a_provider_error(self, monkeypatch, body, named):
+        adapter = self.stub_adapter(monkeypatch, json.dumps(body).encode())
+        with pytest.raises(ProviderError, match=f"malformed provider response: .*{named}"):
+            adapter.complete("x", DecodingParams())
+
+    def test_null_content_and_token_count_read_as_empty(self, monkeypatch):
+        body = {
+            "id": "chatcmpl-1",
+            "choices": [{"index": 0, "message": {"role": "assistant", "content": None}}],
+            "usage": {"prompt_tokens": 7, "completion_tokens": None, "total_tokens": 7},
+        }
+        adapter = self.stub_adapter(monkeypatch, json.dumps(body).encode())
+        result = adapter.complete("x", DecodingParams())
+        assert (result.text, result.prompt_tokens, result.completion_tokens) == ("", 7, 0)
+
+    def test_malformed_response_is_retried(self, monkeypatch, dataset):
+        body = {"choices": [{"message": {"content": 5}}]}
+        adapter = self.stub_adapter(monkeypatch, json.dumps(body).encode())
+        aset, trace = annotate_example(dataset["a"], dataset, config(max_retries=2), adapter)
+        assert len(aset) == 0 and trace.failed is True and trace.retries == 2

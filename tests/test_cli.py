@@ -258,6 +258,18 @@ class TestExitCodes:
         assert (f"{file}:1: " if jsonl else f"{file}: ") in err
         assert named in err
 
+    @pytest.mark.parametrize("file", ["run.json", "categories.json"])
+    def test_too_deep_json_after_line_1_names_no_position(self, relative_run, capsys, file):
+        assert main(["annotate", "--config", str(relative_run)]) == 0
+        capsys.readouterr()
+        target = relative_run.parent / file
+        target.write_bytes(b'{\n  "task": "d2t",\n  "guidelines": ' + b"[" * 100_000 + b"\n")
+        assert main(["evaluate", "--config", str(relative_run), "gold", "llm"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{file}: " in err and "nested too deeply" in err
+        assert "line 1 column 1" not in err and f"{file}:1:" not in err
+
 
 class TestCommands:
     def test_annotate_then_evaluate_then_stats(self, mock_config, capsys):

@@ -204,6 +204,76 @@ class TestSolver:
             assert total == expected
 
 
+class TestComponentMatching:
+    """``_matching`` solves each connected component of the pairs that
+    cost less than 2 * delta_empty on its own."""
+
+    @staticmethod
+    def counted_solves(monkeypatch):
+        calls = []
+
+        def counting(cost):
+            calls.append(cost.shape)
+            return solver.solve_assignment(cost)
+
+        monkeypatch.setattr(alignment, "solve_assignment", counting)
+        return calls
+
+    def test_total_equals_full_padded_solve(self):
+        rng = random.Random(29)
+        for _ in range(5000):
+            text_len = rng.randint(10, 200)
+            left = random_spans(rng, text_len, rng.randint(1, 8), k=3)
+            right = random_spans(rng, text_len, rng.randint(1, 8), k=3)
+            cfg = DissimilarityConfig(
+                alpha=rng.choice([0.5, 2.0, 3.0]),
+                beta=rng.choice([0.25, 1.5]),
+                delta_empty=rng.choice([0.5, 1.0, 2.0]),
+            )
+            penalty = cfg.delta_empty
+            pair = pair_cost_matrix(tuple(left), tuple(right), cfg)
+            total, pairs = alignment._matching(pair, penalty)
+            _, full = solver.solve_assignment(alignment._padded_matrix(pair, penalty))
+            assert total == pytest.approx(full, abs=1e-12)
+            assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+            unaligned = len(left) + len(right) - 2 * len(pairs)
+            recomputed = sum(pair[i, j] for i, j in pairs) + penalty * unaligned
+            assert recomputed == pytest.approx(total, abs=1e-12)
+
+    def test_isolated_units_and_1x1_components_skip_the_solver(self, monkeypatch):
+        calls = self.counted_solves(monkeypatch)
+        left = [S(0, 10, 0), S(50, 60, 1), S(100, 110, 0)]
+        right = [S(1, 10, 0), S(50, 58, 1), S(200, 210, 2), S(300, 301, 0)]
+        total, pairs = alignment._matching(
+            pair_cost_matrix(tuple(left), tuple(right), CFG), CFG.delta_empty
+        )
+        assert pairs == [(0, 0), (1, 1)]
+        assert total == alignment_cost(left, right, CFG)
+        assert best_alignment(left, right, CFG).pairs == ((0, 0), (1, 1))
+        assert calls == []
+
+    def test_2x2_component_calls_the_solver(self, monkeypatch):
+        calls = self.counted_solves(monkeypatch)
+        left = [S(0, 10, 0), S(2, 12, 0), S(100, 110, 1)]
+        right = [S(1, 11, 0), S(3, 13, 0)]
+        _, pairs = alignment._matching(
+            pair_cost_matrix(tuple(left), tuple(right), CFG), CFG.delta_empty
+        )
+        assert pairs == [(0, 0), (1, 1)]
+        assert calls == [(4, 4)]
+
+    def test_zero_penalty_has_no_useful_pairs(self, monkeypatch):
+        calls = self.counted_solves(monkeypatch)
+        cfg = DissimilarityConfig(delta_empty=0.0)
+        left, right = [S(0, 5, 0), S(3, 9, 1)], [S(0, 5, 0)]
+        total, pairs = alignment._matching(
+            pair_cost_matrix(tuple(left), tuple(right), cfg), cfg.delta_empty
+        )
+        assert (total, pairs) == (0.0, [])
+        assert alignment_cost(left, right, cfg) == 0.0
+        assert calls == []
+
+
 class TestDisorder:
     def test_identical_sets_zero(self):
         spans = [S(0, 5, 0), S(7, 9, 1)]
