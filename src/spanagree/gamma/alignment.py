@@ -18,8 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..model import SpanAnnotation
-from .dissimilarity import DissimilarityConfig, pair_cost_matrix, unit_dissimilarity
+from ..model import ModelError, SpanAnnotation
+from .dissimilarity import DissimilarityConfig, Unit, pair_cost_matrix, unit_dissimilarity
 from .solver import solve_assignment
 
 logger = logging.getLogger(__name__)
@@ -87,44 +87,46 @@ def _build_alignment(
     pairs: Sequence[tuple[int, int]],
     unaligned_left: Sequence[int],
     unaligned_right: Sequence[int],
-    left: Sequence[SpanAnnotation],
-    right: Sequence[SpanAnnotation],
-    cfg: DissimilarityConfig,
+    pair: list[list[float]],
+    penalty: float,
 ) -> Alignment:
-    alignment = Alignment(
-        tuple(sorted(pairs)), tuple(unaligned_left), tuple(unaligned_right), 0.0
-    )
-    return Alignment(
-        alignment.pairs,
-        alignment.unaligned_left,
-        alignment.unaligned_right,
-        recompute_cost(alignment, left, right, cfg),
-    )
+    """Alignment whose disorder is summed like recompute_cost: the sorted
+    pairs' costs, then one penalty per unaligned unit."""
+    pairs = tuple(sorted(pairs))
+    total = 0.0
+    for i, j in pairs:
+        total += pair[i][j]
+    total += penalty * (len(unaligned_left) + len(unaligned_right))
+    return Alignment(pairs, tuple(unaligned_left), tuple(unaligned_right), total)
 
 
-def _padded_matrix(pair: np.ndarray, penalty: float) -> np.ndarray:
+def _padded_matrix(pair: list[list[float]], penalty: float) -> list[list[float]]:
     """Square matrix for the matching: real pairs top-left, one dummy
-    partner per unit at ``penalty``, dummy-dummy free.
+    partner per unit at ``penalty``, dummy-dummy free. ``pair`` has at
+    least one row.
 
     Pair costs above 2 * penalty can never be chosen over leaving both
     units unaligned, so they are clamped to keep the matrix well
     conditioned; the optimum is unchanged.
     """
-    n, m = pair.shape
-    size = n + m
-    big = penalty * size + 1.0
-    mat = np.full((size, size), big, dtype=np.float64)
-    mat[:n, :m] = np.minimum(pair, 2.0 * penalty + 1.0)
-    for i in range(n):
-        mat[i, m + i] = penalty
+    n, m = len(pair), len(pair[0])
+    big = penalty * (n + m) + 1.0
+    clamp = 2.0 * penalty + 1.0
+    mat = []
+    for i, row in enumerate(pair):
+        padded = [min(cost, clamp) for cost in row] + [big] * n
+        padded[m + i] = penalty
+        mat.append(padded)
     for j in range(m):
-        mat[n + j, j] = penalty
-    mat[n:, m:] = 0.0
+        padded = [big] * m + [0.0] * n
+        padded[j] = penalty
+        mat.append(padded)
     return mat
 
 
-def _matching(pair: np.ndarray, penalty: float) -> tuple[float, list[tuple[int, int]]]:
-    """Optimal partial matching cost and its matched pairs.
+def _matching(pair: list[list[float]], penalty: float) -> tuple[float, list[tuple[int, int]]]:
+    """Optimal partial matching cost and its matched pairs. ``pair`` has
+    at least one row.
 
     Only a pair costing less than 2 * penalty can beat leaving both
     units unaligned, so the optimum splits into the connected
@@ -133,10 +135,9 @@ def _matching(pair: np.ndarray, penalty: float) -> tuple[float, list[tuple[int, 
     solved. Among cost ties the matching may differ from a solve of the
     whole padded matrix; the total is summed in that solve's row order.
     """
-    n, m = pair.shape
-    if n == 0 or m == 0:
-        return penalty * (n + m), []
-    costs = pair.tolist()
+    n, m = len(pair), len(pair[0])
+    if m == 0:
+        return penalty * n, []
     # Union-find over left units 0..n-1 and right units n..n+m-1.
     root = list(range(n + m))
 
@@ -147,7 +148,7 @@ def _matching(pair: np.ndarray, penalty: float) -> tuple[float, list[tuple[int, 
         return x
 
     limit = 2.0 * penalty
-    for i, row in enumerate(costs):
+    for i, row in enumerate(pair):
         for j, cost in enumerate(row):
             if cost < limit:
                 root[find(i)] = find(n + j)
@@ -164,12 +165,17 @@ def _matching(pair: np.ndarray, penalty: float) -> tuple[float, list[tuple[int, 
         if len(nodes) == 2:
             match[rows[0]] = cols[0]
             continue
-        sub, _ = solve_assignment(_padded_matrix(pair[np.ix_(rows, cols)], penalty))
-        match.update((i, cols[sub[k]]) for k, i in enumerate(rows) if sub[k] < len(cols))
+        sub = [[pair[i][j] for j in cols] for i in rows]
+        # solve_assignment keeps its ndarray argument: perfbench's traced
+        # run reads the solved cells from ``cost.shape``.
+        solution, _ = solve_assignment(np.array(_padded_matrix(sub, penalty)))
+        match.update(
+            (i, cols[solution[k]]) for k, i in enumerate(rows) if solution[k] < len(cols)
+        )
 
     total = 0.0
     for i in range(n):
-        total += costs[i][match[i]] if i in match else penalty
+        total += pair[i][match[i]] if i in match else penalty
     matched = set(match.values())
     for j in range(m):
         if j not in matched:
@@ -177,29 +183,35 @@ def _matching(pair: np.ndarray, penalty: float) -> tuple[float, list[tuple[int, 
     return total, sorted(match.items())
 
 
-def _matching_cost(pair: np.ndarray, penalty: float) -> float:
-    return _matching(pair, penalty)[0]
-
-
-def _as_units(annotations: Iterable[SpanAnnotation]) -> tuple[SpanAnnotation, ...]:
-    return tuple(annotations)
+def _as_units(annotations: Iterable[SpanAnnotation | Unit]) -> list[Unit]:
+    """(start, end, category) triples; triples pass through, so a caller
+    that has converted once can hand its units to the other entry points.
+    Triples are held to the rules SpanAnnotation checks."""
+    units = [u if isinstance(u, tuple) else (u.start, u.end, u.category) for u in annotations]
+    for start, end, category in units:
+        if not 0 <= start < end or category < 0:
+            raise ModelError(
+                f"unit must satisfy 0 <= start < end and category >= 0, "
+                f"got ({start}, {end}, {category})"
+            )
+    return units
 
 
 def alignment_cost(
-    left: Iterable[SpanAnnotation],
-    right: Iterable[SpanAnnotation],
+    left: Iterable[SpanAnnotation | Unit],
+    right: Iterable[SpanAnnotation | Unit],
     cfg: DissimilarityConfig,
 ) -> float:
     """Cost of the best alignment, without materializing its structure."""
     a, b = _as_units(left), _as_units(right)
     if not a or not b:
         raise EmptySide("both annotation sets must be non-empty")
-    return _matching_cost(pair_cost_matrix(a, b, cfg), cfg.delta_empty)
+    return _matching(pair_cost_matrix(a, b, cfg), cfg.delta_empty)[0]
 
 
 def best_alignment(
-    left: Iterable[SpanAnnotation],
-    right: Iterable[SpanAnnotation],
+    left: Iterable[SpanAnnotation | Unit],
+    right: Iterable[SpanAnnotation | Unit],
     cfg: DissimilarityConfig,
 ) -> Alignment:
     """Minimum-cost alignment between two non-empty annotation sets.
@@ -213,8 +225,11 @@ def best_alignment(
         raise EmptySide("both annotation sets must be non-empty")
     pair = pair_cost_matrix(a, b, cfg)
     penalty = cfg.delta_empty
-    c_star = _matching_cost(pair, penalty)
+    c_star = _matching(pair, penalty)[0]
     tol = _COST_RTOL * max(1.0, abs(c_star))
+
+    def sub(rows: list[int], cols: list[int]) -> list[list[float]]:
+        return [[pair[i][j] for j in cols] for i in rows]
 
     rows = list(range(len(a)))
     cols = list(range(len(b)))
@@ -227,20 +242,26 @@ def best_alignment(
             break
         found = None
         for i in rows:
+            rest_rows = [r for r in rows if r != i]
             for j in cols:
-                rest = _matching_cost(
-                    pair[np.ix_([r for r in rows if r != i], [c for c in cols if c != j])],
-                    penalty,
+                rest_cols = [c for c in cols if c != j]
+                # A list matrix without rows has no width: the leftover
+                # columns each pay the penalty.
+                rest = (
+                    _matching(sub(rest_rows, rest_cols), penalty)[0]
+                    if rest_rows
+                    else penalty * len(rest_cols)
                 )
-                if fixed + pair[i, j] + rest <= c_star + tol:
+                if fixed + pair[i][j] + rest <= c_star + tol:
                     found = (i, j)
                     break
             if found:
                 break
         if found is None:
             # fp safety net: adopt the solver's matching on the remainder
-            _, sub_pairs = _matching(pair[np.ix_(rows, cols)], penalty)
-            chosen.extend((rows[si], cols[sj]) for si, sj in sub_pairs)
+            if rows:
+                _, sub_pairs = _matching(sub(rows, cols), penalty)
+                chosen.extend((rows[si], cols[sj]) for si, sj in sub_pairs)
             matched_l = {i for i, _ in chosen}
             matched_r = {j for _, j in chosen}
             rows = [r for r in rows if r not in matched_l]
@@ -249,14 +270,14 @@ def best_alignment(
         chosen.append(found)
         rows.remove(found[0])
         cols.remove(found[1])
-        fixed += pair[found[0], found[1]]
+        fixed += pair[found[0]][found[1]]
 
-    return _build_alignment(chosen, rows, cols, a, b, cfg)
+    return _build_alignment(chosen, rows, cols, pair, penalty)
 
 
 def oracle_best_alignment(
-    left: Iterable[SpanAnnotation],
-    right: Iterable[SpanAnnotation],
+    left: Iterable[SpanAnnotation | Unit],
+    right: Iterable[SpanAnnotation | Unit],
     cfg: DissimilarityConfig,
 ) -> Alignment:
     """Exhaustive-enumeration reference for best_alignment.
@@ -298,7 +319,7 @@ def oracle_best_alignment(
             if not used[j]:
                 used[j] = True
                 stack.append((i, j))
-                visit(i + 1, cost + pair[i, j])
+                visit(i + 1, cost + pair[i][j])
                 stack.pop()
                 used[j] = False
 
@@ -310,15 +331,14 @@ def oracle_best_alignment(
         pairs,
         [i for i in range(n) if i not in matched_l],
         [j for j in range(m) if j not in matched_r],
-        a,
-        b,
-        cfg,
+        pair,
+        penalty,
     )
 
 
 def observed_disorder(
-    left: Iterable[SpanAnnotation],
-    right: Iterable[SpanAnnotation],
+    left: Iterable[SpanAnnotation | Unit],
+    right: Iterable[SpanAnnotation | Unit],
     cfg: DissimilarityConfig,
 ) -> float:
     """Best-alignment cost divided by the average unit count."""
@@ -333,30 +353,25 @@ def _child_rng(seed: int, example_id: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 
-def _resample(
-    units: tuple[SpanAnnotation, ...], text_length: int, rng: random.Random
-) -> tuple[SpanAnnotation, ...]:
+def _resample(units: Sequence[Unit], text_length: int, rng: random.Random) -> list[Unit]:
     """Random repositioning that keeps the side's span-length multiset
     and category multiset: categories are shuffled over the units, each
-    start is redrawn uniformly over the positions where the span fits."""
-    categories = [u.category for u in units]
+    start is redrawn uniformly over the positions where the span fits.
+    Every unit must fit in the text."""
+    categories = [category for _, _, category in units]
     rng.shuffle(categories)
+    draw = rng.randrange
     out = []
-    for u, category in zip(units, categories):
-        length = len(u)
-        hi = text_length - length
-        if hi < 0:
-            raise DegenerateText(
-                f"span of length {length} cannot fit in text of length {text_length}"
-            )
-        start = rng.randint(0, hi)
-        out.append(SpanAnnotation(start, start + length, category))
-    return tuple(out)
+    for (start, end, _), category in zip(units, categories):
+        length = end - start
+        new_start = draw(text_length - length + 1)
+        out.append((new_start, new_start + length, category))
+    return out
 
 
 def expected_disorder(
-    left: Iterable[SpanAnnotation],
-    right: Iterable[SpanAnnotation],
+    left: Iterable[SpanAnnotation | Unit],
+    right: Iterable[SpanAnnotation | Unit],
     text_length: int,
     cfg: GammaConfig,
     example_id: str = "",
@@ -372,6 +387,11 @@ def expected_disorder(
         raise EmptySide("both annotation sets must be non-empty")
     if text_length <= 0:
         raise DegenerateText("text_length must be positive")
+    for start, end, _ in a + b:
+        if end - start > text_length:
+            raise DegenerateText(
+                f"span of length {end - start} cannot fit in text of length {text_length}"
+            )
     rng = _child_rng(cfg.seed, example_id)
     avg_count = (len(a) + len(b)) / 2.0
     total = 0.0
@@ -383,8 +403,8 @@ def expected_disorder(
 
 
 def gamma_score(
-    left: Iterable[SpanAnnotation],
-    right: Iterable[SpanAnnotation],
+    left: Iterable[SpanAnnotation | Unit],
+    right: Iterable[SpanAnnotation | Unit],
     text_length: int,
     cfg: GammaConfig | None = None,
     example_id: str = "",

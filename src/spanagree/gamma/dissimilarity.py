@@ -11,10 +11,12 @@ That keeps the chance-corrected score invariant under rescaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Sequence
 
 from ..model import SpanAnnotation
+
+# A unit as the alignment sees it: (start, end, category).
+Unit = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -63,24 +65,23 @@ def unit_dissimilarity(
 
 
 def pair_cost_matrix(
-    left: tuple[SpanAnnotation, ...],
-    right: tuple[SpanAnnotation, ...],
+    left: Sequence[Unit],
+    right: Sequence[Unit],
     cfg: DissimilarityConfig,
-) -> np.ndarray:
-    """Unit dissimilarities for all pairs, as an (n, m) float64 matrix.
+) -> list[list[float]]:
+    """Unit dissimilarities for all pairs, as n rows of m costs.
 
-    Vectorized but arithmetically identical to unit_dissimilarity, so
+    The same operations in the same order as unit_dissimilarity, so
     solver costs and per-pair recomputations agree exactly.
     """
-    sl = np.array([a.start for a in left], dtype=np.float64)[:, None]
-    el = np.array([a.end for a in left], dtype=np.float64)[:, None]
-    cl = np.array([a.category for a in left], dtype=np.int64)[:, None]
-    sr = np.array([a.start for a in right], dtype=np.float64)[None, :]
-    er = np.array([a.end for a in right], dtype=np.float64)[None, :]
-    cr = np.array([a.category for a in right], dtype=np.int64)[None, :]
-
-    d = (np.abs(sl - sr) + np.abs(el - er)) / ((el - sl) + (er - sr))
-    pos = cfg.delta_empty * (d * d)
-    cat = np.where(cl == cr, 0.0, cfg.delta_empty)
+    alpha, delta = cfg.alpha, cfg.delta_empty
+    same, differ = cfg.beta * 0.0, cfg.beta * delta
     scale = 2.0 / (cfg.alpha + cfg.beta)
-    return scale * (cfg.alpha * pos + cfg.beta * cat)
+    rows = []
+    for sl, el, cl in left:
+        row = []
+        for sr, er, cr in right:
+            d = (abs(sl - sr) + abs(el - er)) / ((el - sl) + (er - sr))
+            row.append(scale * (alpha * (delta * (d * d)) + (same if cl == cr else differ)))
+        rows.append(row)
+    return rows
