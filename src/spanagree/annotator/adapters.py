@@ -4,15 +4,17 @@ runs and tests."""
 
 from __future__ import annotations
 
+import http.client
+import json
+import os
 import threading
 import time
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Protocol, runtime_checkable
 
-import requests
-
-from ..ingest import IngestError, KeyTypes, ParseError, check_object, read_jsonl
+from ..ingest import IngestError, KeyTypes, ParseError, check_object, decode_json, read_jsonl
 
 
 @dataclass(frozen=True)
@@ -127,18 +129,16 @@ class OpenAIChatAdapter:
         base_url: str = "https://api.openai.com/v1",
         api_key_env: str = "OPENAI_API_KEY",
         timeout: float = 120.0,
-        session: requests.Session | None = None,
     ):
-        import os
-
         key = os.environ.get(api_key_env)
         if not key:
             raise MissingApiKey(api_key_env)
+        if not base_url.startswith(("http://", "https://")):
+            raise ValueError(f"base_url must be an http:// or https:// URL, not {base_url!r}")
         self.model_id = model_id
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self._session = session or requests.Session()
-        self._headers = {"Authorization": f"Bearer {key}"}
+        self._headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
 
     def complete(
         self,
@@ -163,19 +163,20 @@ class OpenAIChatAdapter:
                     "schema": schema,
                 },
             }
+        request = urllib.request.Request(
+            f"{self.base_url}/chat/completions",
+            data=json.dumps(payload).encode("utf-8"),
+            headers=self._headers,
+        )
         started = time.monotonic()
         try:
-            response = self._session.post(
-                f"{self.base_url}/chat/completions",
-                json=payload,
-                headers=self._headers,
-                timeout=self.timeout,
-            )
-            response.raise_for_status()
-            body = response.json()
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                body = decode_json(response.read())
+        except (OSError, http.client.HTTPException) as exc:
+            # HTTPError (a non-2xx reply, named by its status), URLError,
+            # timeouts and a body cut short of its Content-Length.
             raise ProviderError(f"chat completion request failed: {exc}") from exc
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
+        except ValueError as exc:
             raise ProviderError(f"provider returned invalid JSON: {exc}") from exc
         latency = time.monotonic() - started
         try:

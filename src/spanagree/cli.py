@@ -208,11 +208,14 @@ def _make_adapter(config: RunConfig):
         if config.provider.replies is None:
             raise ConfigError("mock provider needs a replies file (--mock PATH)")
         return MockAdapter.from_jsonl(config.provider.replies)
-    return OpenAIChatAdapter(
-        model_id=config.annotator.model_id,
-        base_url=config.provider.base_url,
-        api_key_env=config.provider.api_key_env,
-    )
+    try:
+        return OpenAIChatAdapter(
+            model_id=config.annotator.model_id,
+            base_url=config.provider.base_url,
+            api_key_env=config.provider.api_key_env,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"provider: {exc}") from exc
 
 
 def _load_named_campaign(config: RunConfig, name: str, dataset: Dataset) -> Campaign:

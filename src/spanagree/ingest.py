@@ -317,7 +317,7 @@ def load_campaign(path: str | Path, dataset: Dataset) -> Campaign:
     path = Path(path)
     sets: dict[str, AnnotationSet] = {}
     traces: dict[str, Trace] = {}
-    annotator_id = ""
+    annotator_id: str | None = None
     for lineno, row in read_jsonl(
         path, {"example_id": str, "annotator_id": str, "annotations": list}, {"failed": bool}
     ):
@@ -328,7 +328,7 @@ def load_campaign(path: str | Path, dataset: Dataset) -> Campaign:
             raise DanglingExample(
                 f"{path}:{lineno}: unknown example {example_id!r}"
             )
-        if not annotator_id:
+        if annotator_id is None:
             annotator_id = row["annotator_id"]
         elif row["annotator_id"] != annotator_id:
             raise ParseError(

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .gamma import GammaConfig, gamma_score
 from .model import Campaign, Dataset, SpanAnnotation
 
@@ -312,30 +310,18 @@ class ConfusionMatrix:
     """Category confusion counts: rows are reference categories, columns
     candidate categories, paired by maximal character overlap."""
 
-    counts: np.ndarray
+    counts: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def k(self) -> int:
-        return self.counts.shape[0]
-
-    def normalized(self) -> np.ndarray:
-        """Row-normalized view; all-zero rows stay all-zero."""
-        totals = self.counts.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore"):
-            out = np.where(totals > 0, self.counts / np.maximum(totals, 1), 0.0)
-        return out
+    def normalized(self) -> tuple[tuple[float, ...], ...]:
+        """Row-normalized counts; all-zero rows stay all-zero."""
+        return tuple(tuple(c / sum(row) if c else 0.0 for c in row) for row in self.counts)
 
 
 def confusion_matrix(reference: Campaign, candidate: Campaign, k: int) -> ConfusionMatrix:
     """Pair each reference annotation with the candidate annotation of
     maximal character overlap (ties to the lower start; zero overlap
     leaves it unpaired) and count category co-occurrences."""
-    counts = np.zeros((k, k), dtype=np.int64)
+    counts = [[0] * k for _ in range(k)]
     for example_id in sorted(set(reference.sets) & set(candidate.sets)):
         cand_set = candidate.sets[example_id]
         for ref_ann in reference.sets[example_id]:
@@ -347,8 +333,8 @@ def confusion_matrix(reference: Campaign, candidate: Campaign, k: int) -> Confus
                     best = cand_ann
                     best_overlap = overlap
             if best is not None:
-                counts[ref_ann.category, best.category] += 1
-    return ConfusionMatrix(counts)
+                counts[ref_ann.category][best.category] += 1
+    return ConfusionMatrix(tuple(map(tuple, counts)))
 
 
 @dataclass(frozen=True)

@@ -97,8 +97,8 @@ def report_to_dict(
     if confusion is not None:
         payload["confusion"] = {
             "categories": [c.name for c in categories] if categories else None,
-            "counts": confusion.counts.tolist(),
-            "row_normalized": confusion.normalized().tolist(),
+            "counts": confusion.counts,
+            "row_normalized": confusion.normalized(),
         }
     return payload
 
@@ -137,8 +137,8 @@ def write_confusion_csv(
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["reference\\candidate", *names])
-        for i, name in enumerate(names):
-            writer.writerow([name, *confusion.counts[i].tolist()])
+        for name, row in zip(names, confusion.counts):
+            writer.writerow([name, *row])
 
 
 def stats_lines(annotator_id: str, stats: CampaignStats) -> list[str]:

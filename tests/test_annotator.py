@@ -6,7 +6,6 @@ import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
-import requests
 
 from spanagree.annotator import (
     AnnotatorConfig,
@@ -352,37 +351,50 @@ class TestAnnotateDataset:
         assert campaign.annotator_id == "test-model-base"
 
 
+_REPLY_BODY = json.dumps({
+    "choices": [{"message": {"content": reply([])}}],
+    "usage": {"prompt_tokens": 12, "completion_tokens": 3},
+}).encode()
+
+
 class _FakeChatHandler(BaseHTTPRequestHandler):
+    """Records each request and answers it with ``status`` and ``body``;
+    ``declared_length``, when set, is the Content-Length sent instead of
+    the body's own length."""
+
     requests: list[dict] = []
+    status = 200
+    body = _REPLY_BODY
+    declared_length: int | None = None
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
-        type(self).requests.append(
+        cls = type(self)
+        cls.requests.append(
             {"path": self.path, "auth": self.headers.get("Authorization"), "payload": payload}
         )
-        body = json.dumps({
-            "choices": [{"message": {"content": reply([])}}],
-            "usage": {"prompt_tokens": 12, "completion_tokens": 3},
-        }).encode()
-        self.send_response(200)
+        self.send_response(cls.status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Length", str(cls.declared_length or len(cls.body)))
         self.end_headers()
-        self.wfile.write(body)
+        self.wfile.write(cls.body)
 
     def log_message(self, *args):
         pass
 
 
 @pytest.fixture
-def fake_chat_server():
-    _FakeChatHandler.requests = []
+def fake_chat_server(monkeypatch):
+    monkeypatch.setattr(_FakeChatHandler, "requests", [])
     server = HTTPServer(("127.0.0.1", 0), _FakeChatHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1"
     server.shutdown()
+    server.server_close()
 
 
 class TestOpenAIChatAdapter:
@@ -390,6 +402,12 @@ class TestOpenAIChatAdapter:
         monkeypatch.delenv("SPANAGREE_TEST_KEY", raising=False)
         with pytest.raises(MissingApiKey, match="SPANAGREE_TEST_KEY"):
             OpenAIChatAdapter(model_id="m", api_key_env="SPANAGREE_TEST_KEY")
+
+    @pytest.mark.parametrize("base_url", ["localhost:11434/v1", "file:///tmp", "ftp://host/v1"])
+    def test_base_url_must_be_http(self, monkeypatch, base_url):
+        monkeypatch.setenv("SPANAGREE_TEST_KEY", "sk-unit")
+        with pytest.raises(ValueError, match="http:// or https://"):
+            OpenAIChatAdapter(model_id="m", base_url=base_url, api_key_env="SPANAGREE_TEST_KEY")
 
     def test_request_and_response_shape(self, monkeypatch, fake_chat_server):
         monkeypatch.setenv("SPANAGREE_TEST_KEY", "sk-unit")
@@ -423,24 +441,35 @@ class TestOpenAIChatAdapter:
         with pytest.raises(ProviderError):
             adapter.complete("x", DecodingParams())
 
-    @staticmethod
-    def stub_adapter(monkeypatch, content: bytes) -> OpenAIChatAdapter:
-        """An adapter whose session answers every post with a 200 of ``content``."""
+    @pytest.fixture
+    def stub_adapter(self, monkeypatch, fake_chat_server):
+        """Makes an adapter whose server answers every post with ``status``
+        and ``content``."""
         monkeypatch.setenv("SPANAGREE_TEST_KEY", "sk-unit")
-        response = requests.Response()
-        response.status_code = 200
-        response._content = content
 
-        class Session:
-            def post(self, *args, **kwargs):
-                return response
+        def make(content: bytes, status: int = 200, declared_length: int | None = None):
+            monkeypatch.setattr(_FakeChatHandler, "status", status)
+            monkeypatch.setattr(_FakeChatHandler, "body", content)
+            monkeypatch.setattr(_FakeChatHandler, "declared_length", declared_length)
+            return OpenAIChatAdapter(
+                model_id="m", base_url=fake_chat_server, api_key_env="SPANAGREE_TEST_KEY"
+            )
 
-        return OpenAIChatAdapter(
-            model_id="m", api_key_env="SPANAGREE_TEST_KEY", session=Session()
-        )
+        return make
 
-    def test_too_deep_response_body_is_a_provider_error(self, monkeypatch):
-        adapter = self.stub_adapter(monkeypatch, b"[" * 100_000)
+    @pytest.mark.parametrize("status, declared_length, named", [
+        (401, None, "HTTP Error 401"),
+        (429, None, "HTTP Error 429"),
+        (500, None, "HTTP Error 500"),
+        (200, len(_REPLY_BODY) + 100, "IncompleteRead"),
+    ], ids=["401", "429", "500", "short-body"])
+    def test_http_failure_is_a_provider_error(self, stub_adapter, status, declared_length, named):
+        adapter = stub_adapter(_REPLY_BODY, status, declared_length)
+        with pytest.raises(ProviderError, match=f"request failed: .*{named}"):
+            adapter.complete("x", DecodingParams())
+
+    def test_too_deep_response_body_is_a_provider_error(self, stub_adapter):
+        adapter = stub_adapter(b"[" * 100_000)
         with pytest.raises(ProviderError, match="invalid JSON"):
             adapter.complete("x", DecodingParams())
 
@@ -456,23 +485,23 @@ class TestOpenAIChatAdapter:
         ([1], "expected an object"),
     ], ids=["content-int", "usage-list", "tokens-string", "tokens-bool", "no-choices",
             "message-string", "body-list"])
-    def test_malformed_response_shape_is_a_provider_error(self, monkeypatch, body, named):
-        adapter = self.stub_adapter(monkeypatch, json.dumps(body).encode())
+    def test_malformed_response_shape_is_a_provider_error(self, stub_adapter, body, named):
+        adapter = stub_adapter(json.dumps(body).encode())
         with pytest.raises(ProviderError, match=f"malformed provider response: .*{named}"):
             adapter.complete("x", DecodingParams())
 
-    def test_null_content_and_token_count_read_as_empty(self, monkeypatch):
+    def test_null_content_and_token_count_read_as_empty(self, stub_adapter):
         body = {
             "id": "chatcmpl-1",
             "choices": [{"index": 0, "message": {"role": "assistant", "content": None}}],
             "usage": {"prompt_tokens": 7, "completion_tokens": None, "total_tokens": 7},
         }
-        adapter = self.stub_adapter(monkeypatch, json.dumps(body).encode())
+        adapter = stub_adapter(json.dumps(body).encode())
         result = adapter.complete("x", DecodingParams())
         assert (result.text, result.prompt_tokens, result.completion_tokens) == ("", 7, 0)
 
-    def test_malformed_response_is_retried(self, monkeypatch, dataset):
+    def test_malformed_response_is_retried(self, stub_adapter, dataset):
         body = {"choices": [{"message": {"content": 5}}]}
-        adapter = self.stub_adapter(monkeypatch, json.dumps(body).encode())
+        adapter = stub_adapter(json.dumps(body).encode())
         aset, trace = annotate_example(dataset["a"], dataset, config(max_retries=2), adapter)
         assert len(aset) == 0 and trace.failed is True and trace.retries == 2

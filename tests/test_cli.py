@@ -163,6 +163,23 @@ class TestExitCodes:
         assert main(["annotate", "--config", str(path)]) == 2
         assert "UNSET_KEY_VAR" in capsys.readouterr().err
 
+    def test_base_url_without_http_scheme_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SPANAGREE_TEST_KEY", "sk-unit")
+        categories = write_bundled_categories(tmp_path, "d2t")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "corpus": str(FIXTURES / "corpus10.jsonl"),
+            "categories": str(categories),
+            "output_dir": str(tmp_path / "out"),
+            "annotator": {
+                "model_id": "m",
+                "provider": {"kind": "openai", "api_key_env": "SPANAGREE_TEST_KEY",
+                             "base_url": "localhost:11434/v1"},
+            },
+        }))
+        assert main(["annotate", "--config", str(path)]) == 2
+        assert "'localhost:11434/v1'" in capsys.readouterr().err
+
     def test_corrupt_cache_line_exits_3(self, mock_config, capsys):
         path, _ = mock_config
         assert main(["annotate", "--config", str(path)]) == 0
@@ -329,7 +346,8 @@ class TestCommands:
             config.annotator, decoding=replace(config.annotator.decoding, seed=7)
         )
 
-    def test_evaluate_does_not_import_scipy(self, mock_config):
+    @pytest.mark.parametrize("module", ["scipy", "requests", "urllib3"])
+    def test_evaluate_does_not_import(self, mock_config, module):
         path, _ = mock_config
         src = Path(spanagree.__file__).parent.parent
         script = (
@@ -337,7 +355,7 @@ class TestCommands:
             "from spanagree.cli import main\n"
             f"code = main(['evaluate', '--config', {str(path)!r}, 'gold', 'gold'])\n"
             "assert code == 0, code\n"
-            "assert 'scipy' not in sys.modules\n"
+            f"assert {module!r} not in sys.modules\n"
         )
         env = {**os.environ, "PYTHONPATH": str(src)}
         subprocess.run([sys.executable, "-c", script], env=env, check=True,

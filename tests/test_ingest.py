@@ -212,6 +212,27 @@ class TestCampaignRoundTrip:
         with pytest.raises(DanglingExample):
             load_campaign(path, small_dataset)
 
+    @staticmethod
+    def write_ids(path, ids):
+        path.write_text("".join(
+            json.dumps({"example_id": eid, "annotator_id": aid, "annotations": []}) + "\n"
+            for eid, aid in zip("ab", ids)
+        ))
+
+    @pytest.mark.parametrize("ids", [("", "bob"), ("bob", "")],
+                             ids=["empty-first", "empty-second"])
+    def test_mixed_annotator_ids_rejected(self, tmp_path, small_dataset, ids):
+        path = tmp_path / "camp.jsonl"
+        self.write_ids(path, ids)
+        with pytest.raises(ParseError, match="mixed annotator ids") as info:
+            load_campaign(path, small_dataset)
+        assert info.value.line == 2
+
+    def test_empty_annotator_id_falls_back_to_file_stem(self, tmp_path, small_dataset):
+        path = tmp_path / "camp.jsonl"
+        self.write_ids(path, ("", ""))
+        assert load_campaign(path, small_dataset).annotator_id == "camp"
+
     def test_category_out_of_range_rejected(self, tmp_path, small_dataset):
         path = tmp_path / "camp.jsonl"
         path.write_text(json.dumps({

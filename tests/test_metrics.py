@@ -371,33 +371,33 @@ class TestConfusionMatrix:
         ref = make_campaign("r", {"e1": as_set("e1", [S(0, 5, 0), S(6, 10, 2)])})
         cand = make_campaign("c", {"e1": as_set("e1", [S(0, 5, 0), S(6, 10, 2)])})
         cm = confusion_matrix(ref, cand, k=3)
-        assert cm.counts.tolist() == [[1, 0, 0], [0, 0, 0], [0, 0, 1]]
+        assert cm.counts == ((1, 0, 0), (0, 0, 0), (0, 0, 1))
 
     def test_cross_category_pairing(self):
         ref = make_campaign("r", {"e1": as_set("e1", [S(0, 10, 0)])})
         cand = make_campaign("c", {"e1": as_set("e1", [S(5, 15, 2)])})
         cm = confusion_matrix(ref, cand, k=3)
-        assert cm.counts[0, 2] == 1 and cm.counts.sum() == 1
+        assert cm.counts[0][2] == 1 and sum(map(sum, cm.counts)) == 1
 
     def test_unpaired_when_no_overlap(self):
         ref = make_campaign("r", {"e1": as_set("e1", [S(0, 10, 0)])})
         cand = make_campaign("c", {"e1": as_set("e1", [])})
         cm = confusion_matrix(ref, cand, k=3)
-        assert cm.counts.sum() == 0
+        assert sum(map(sum, cm.counts)) == 0
 
     def test_tie_goes_to_lower_start(self):
         # both candidates overlap the reference by 5; lower start wins
         ref = make_campaign("r", {"e1": as_set("e1", [S(5, 15, 0)])})
         cand = make_campaign("c", {"e1": as_set("e1", [S(0, 10, 1), S(10, 20, 2)])})
         cm = confusion_matrix(ref, cand, k=3)
-        assert cm.counts[0, 1] == 1 and cm.counts[0, 2] == 0
+        assert cm.counts[0][1] == 1 and cm.counts[0][2] == 0
 
     def test_normalized_rows_sum_to_one_or_zero(self):
         ref = make_campaign("r", {"e1": as_set("e1", [S(0, 10, 0), S(12, 20, 0)])})
         cand = make_campaign("c", {"e1": as_set("e1", [S(0, 10, 1), S(12, 20, 2)])})
         cm = confusion_matrix(ref, cand, k=3)
         norm = cm.normalized()
-        sums = norm.sum(axis=1)
+        sums = [sum(row) for row in norm]
         assert sums[0] == pytest.approx(1.0)
         assert sums[1] == 0.0 and sums[2] == 0.0
 
@@ -409,8 +409,8 @@ class TestConfusionMatrix:
             ref = make_campaign("r", {"e1": as_set("e1", ref_spans)})
             cand = make_campaign("c", {"e1": as_set("e1", cand_spans)})
             cm = confusion_matrix(ref, cand, k=3)
-            assert (cm.counts >= 0).all()
-            assert cm.counts.sum() <= len(ref_spans)
+            assert all(c >= 0 for row in cm.counts for c in row)
+            assert sum(map(sum, cm.counts)) <= len(ref_spans)
 
 
 class TestAnnotationStats:
