@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
 import threading
 import time
@@ -21,6 +22,10 @@ from ..ingest import IngestError, KeyTypes, ParseError, check_object, decode_jso
 class DecodingParams:
     temperature: float = 0.0
     seed: int | None = 42
+
+    def __post_init__(self):
+        if not math.isfinite(self.temperature):
+            raise ValueError(f"temperature must be finite, got {self.temperature}")
 
 
 @dataclass(frozen=True)

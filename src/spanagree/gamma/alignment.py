@@ -13,10 +13,9 @@ from __future__ import annotations
 import hashlib
 import logging
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from ..model import ModelError, SpanAnnotation
 from .dissimilarity import DissimilarityConfig, Unit, pair_cost_matrix, unit_dissimilarity
@@ -166,9 +165,13 @@ def _matching(pair: list[list[float]], penalty: float) -> tuple[float, list[tupl
             match[rows[0]] = cols[0]
             continue
         sub = [[pair[i][j] for j in cols] for i in rows]
-        # solve_assignment keeps its ndarray argument: perfbench's traced
-        # run reads the solved cells from ``cost.shape``.
-        solution, _ = solve_assignment(np.array(_padded_matrix(sub, penalty)))
+        size = len(nodes)
+        flat = array("d")
+        for padded in _padded_matrix(sub, penalty):
+            flat.extend(padded)
+        # A 2-D buffer rather than lists: perfbench's traced run reads the
+        # solved cells from ``cost.shape``.
+        solution, _ = solve_assignment(memoryview(flat).cast("B").cast("d", (size, size)))
         match.update(
             (i, cols[solution[k]]) for k, i in enumerate(rows) if solution[k] < len(cols)
         )

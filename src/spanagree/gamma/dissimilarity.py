@@ -10,6 +10,7 @@ That keeps the chance-corrected score invariant under rescaling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,6 +33,11 @@ class DissimilarityConfig:
     delta_empty: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.delta_empty))):
+            raise ValueError(
+                f"dissimilarity weights must be finite, got alpha={self.alpha}, "
+                f"beta={self.beta}, delta_empty={self.delta_empty}"
+            )
         if self.alpha < 0 or self.beta < 0 or self.delta_empty < 0:
             raise ValueError("dissimilarity weights must be non-negative")
         if self.alpha + self.beta <= 0:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Any
 
 
-def solve_assignment(cost: np.ndarray) -> tuple[list[int], float]:
+def solve_assignment(cost: Any) -> tuple[list[int], float]:
     """Minimum-cost perfect matching on a square cost matrix.
+
+    ``cost`` is a square 2-D buffer with ``.shape`` and ``.tolist()``:
+    a ``memoryview`` of doubles cast to (n, n), or a numpy array.
 
     Returns (cols, total) where cols[i] is the column assigned to row i
     and total sums the chosen costs in row order.

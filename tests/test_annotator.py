@@ -397,6 +397,13 @@ def fake_chat_server(monkeypatch):
     server.server_close()
 
 
+class TestDecodingParams:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_temperature_rejected(self, value):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            DecodingParams(temperature=value)
+
+
 class TestOpenAIChatAdapter:
     def test_missing_key_names_env_var(self, monkeypatch):
         monkeypatch.delenv("SPANAGREE_TEST_KEY", raising=False)

@@ -144,6 +144,26 @@ class TestExitCodes:
         assert main(["stats", "--config", str(path), "gold"]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("section, key", [
+        ("metrics.gamma", "alpha"),
+        ("metrics.gamma", "beta"),
+        ("metrics.gamma", "delta_empty"),
+        ("annotator", "temperature"),
+    ])
+    def test_non_finite_number_exits_2(self, mock_config, capsys, section, key, literal):
+        # Python's JSON decoder reads these literals; the config must not.
+        path, out = mock_config
+        text = path.read_text()
+        anchor = {"metrics.gamma": '"n_samples": 10', "annotator": '"model_id": "mock-model"'}
+        text = text.replace(anchor[section], f'"{key}": {literal}, {anchor[section]}')
+        path.write_text(text)
+        assert main(["evaluate", "--config", str(path), "gold", "gold"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "run.json" in err and "must be finite" in err
+        assert not (out / "report.json").exists()
+
     def test_missing_config_file_exits_3(self, tmp_path):
         assert main(["stats", "--config", str(tmp_path / "nope.json"), "g"]) == 3
 
@@ -346,20 +366,32 @@ class TestCommands:
             config.annotator, decoding=replace(config.annotator.decoding, seed=7)
         )
 
-    @pytest.mark.parametrize("module", ["scipy", "requests", "urllib3"])
-    def test_evaluate_does_not_import(self, mock_config, module):
-        path, _ = mock_config
+    @staticmethod
+    def assert_run_leaves_out(module, argv):
+        """``main(argv)`` in a fresh interpreter exits 0 without importing
+        ``module``."""
         src = Path(spanagree.__file__).parent.parent
         script = (
             "import sys\n"
             "from spanagree.cli import main\n"
-            f"code = main(['evaluate', '--config', {str(path)!r}, 'gold', 'gold'])\n"
+            f"code = main({argv!r})\n"
             "assert code == 0, code\n"
             f"assert {module!r} not in sys.modules\n"
         )
         env = {**os.environ, "PYTHONPATH": str(src)}
         subprocess.run([sys.executable, "-c", script], env=env, check=True,
                        capture_output=True)
+
+    @pytest.mark.parametrize("module", ["numpy", "scipy", "requests", "urllib3"])
+    def test_evaluate_does_not_import(self, mock_config, module):
+        path, _ = mock_config
+        self.assert_run_leaves_out(module, ["evaluate", "--config", str(path), "gold", "gold"])
+
+    @pytest.mark.parametrize("module", ["numpy", "scipy", "requests"])
+    def test_annotate_mock_does_not_import(self, mock_config, module):
+        path, _ = mock_config
+        replies = str(FIXTURES / "replies10.jsonl")
+        self.assert_run_leaves_out(module, ["annotate", "--config", str(path), "--mock", replies])
 
     def test_output_override(self, mock_config, tmp_path):
         path, _ = mock_config

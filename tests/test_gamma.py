@@ -77,6 +77,12 @@ class TestDissimilarity:
         with pytest.raises(ValueError):
             DissimilarityConfig(alpha=0.0, beta=0.0)
 
+    @pytest.mark.parametrize("name", ["alpha", "beta", "delta_empty"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weights_rejected(self, name, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            DissimilarityConfig(**{name: value})
+
     def test_matrix_matches_scalar_exactly(self):
         rng = random.Random(11)
         cfg = DissimilarityConfig(alpha=0.7, beta=1.9, delta_empty=1.3)
@@ -283,15 +289,30 @@ class TestComponentMatching:
         assert pairs == [(0, 0), (1, 1)]
         assert calls == [(4, 4)]
 
-    def test_solver_gets_square_ndarrays_of_larger_components_only(self, monkeypatch):
+    def test_solver_gets_square_buffers_of_larger_components_only(self, monkeypatch):
         # perfbench's traced run counts the solved cells from ``cost.shape``.
-        seen = []
+        padded_matrix = alignment._padded_matrix
+        padded, seen = [], []
+
+        def padding(sub, penalty):
+            padded.append(padded_matrix(sub, penalty))
+            return padded[-1]
 
         def recording(cost):
-            seen.append(cost)
+            seen.append((cost, padded[-1]))
             return solver.solve_assignment(cost)
 
+        monkeypatch.setattr(alignment, "_padded_matrix", padding)
         monkeypatch.setattr(alignment, "solve_assignment", recording)
+        # one 2x2 component, built here from its rows and columns
+        left = [S(0, 10, 0), S(2, 12, 0), S(100, 110, 1)]
+        right = [S(200, 210, 2), S(1, 11, 0), S(3, 13, 0)]
+        pair = pair_cost_matrix(units(left), units(right), CFG)
+        alignment._matching(pair, CFG.delta_empty)
+        assert len(seen) == 1
+        component = [[pair[i][j] for j in (1, 2)] for i in (0, 1)]
+        assert seen[0][0].tolist() == padded_matrix(component, CFG.delta_empty)
+
         rng = random.Random(43)
         for index in range(200):
             text_len = rng.randint(10, 120)
@@ -299,12 +320,15 @@ class TestComponentMatching:
             right = random_spans(rng, text_len, rng.randint(1, 8), k=3)
             gamma_score(left, right, text_len, GammaConfig(n_samples=3, seed=index), "c")
             best_alignment(left, right, CFG)
-        assert seen
-        for cost in seen:
-            assert isinstance(cost, np.ndarray)
-            assert cost.ndim == 2 and cost.shape[0] == cost.shape[1]
+        assert len(seen) > 1
+        for cost, matrix in seen:
+            assert isinstance(cost, memoryview)
+            assert cost.format == "d"
+            k = cost.shape[0]
+            assert cost.shape == (k, k)
             # a 1x1 component would pad to 2x2
-            assert cost.shape[0] >= 3
+            assert k >= 3
+            assert cost.tolist() == matrix
 
     def test_zero_penalty_has_no_useful_pairs(self, monkeypatch):
         calls = self.counted_solves(monkeypatch)

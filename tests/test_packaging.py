@@ -10,23 +10,44 @@ import pytest
 import spanagree
 
 ROOT = Path(spanagree.__file__).parent
+TESTS = Path(__file__).parent
 
 
-def _imported_top_level_modules() -> set[str]:
-    """Top-level names of every absolute import in the package source."""
+def _imported_top_level_modules(root: Path = ROOT) -> set[str]:
+    """Top-level names of every absolute import under ``root``, less the
+    stdlib, spanagree and the modules that live in ``root`` itself."""
     names: set[str] = set()
-    for path in ROOT.rglob("*.py"):
+    for path in root.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-    return names - set(sys.stdlib_module_names) - {"spanagree"}
+    local = {path.stem for path in root.glob("*.py")}
+    return names - set(sys.stdlib_module_names) - {"spanagree"} - local
+
+
+def _requirement_names(requirements: list[str]) -> set[str]:
+    return {re.match(r"[A-Za-z0-9_.-]+", requirement).group() for requirement in requirements}
+
+
+def _project() -> dict:
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = (ROOT.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    return tomllib.loads(pyproject)["project"]
 
 
 def test_declared_dependencies_match_imports():
-    tomllib = pytest.importorskip("tomllib")
-    pyproject = (ROOT.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
-    declared = tomllib.loads(pyproject)["project"]["dependencies"]
-    names = {re.match(r"[A-Za-z0-9_.-]+", requirement).group() for requirement in declared}
+    names = _requirement_names(_project()["dependencies"])
     assert _imported_top_level_modules() == names
+
+
+def test_test_extra_covers_test_imports():
+    project = _project()
+    declared = _requirement_names(
+        project["dependencies"] + project["optional-dependencies"]["test"]
+    )
+    imported = _imported_top_level_modules(TESTS)
+    # the scan sees the tests' own numpy import and skips their local modules
+    assert "numpy" in imported and "conftest" not in imported
+    assert imported <= declared, imported - declared
