@@ -21,12 +21,9 @@ from .runner import (
 from .templates import (
     FewshotExample,
     MissingField,
-    PromptTemplate,
     PromptVariant,
     TemplateError,
-    UnresolvedPlaceholder,
     build_annotation_schema,
-    build_template,
     fewshot_from_config,
     format_categories,
     render_prompt,
@@ -41,18 +38,15 @@ __all__ = [
     "MissingField",
     "MockAdapter",
     "OpenAIChatAdapter",
-    "PromptTemplate",
     "PromptVariant",
     "ProviderAdapter",
     "ProviderError",
     "SchemaMode",
     "TemplateError",
     "TraceCache",
-    "UnresolvedPlaceholder",
     "annotate_dataset",
     "annotate_example",
     "build_annotation_schema",
-    "build_template",
     "cache_key",
     "fewshot_from_config",
     "format_categories",

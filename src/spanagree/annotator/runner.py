@@ -1,11 +1,12 @@
 """End-to-end annotation runs: render, request, ground, persist.
 
-Runs are resumable: every completed example is appended to an on-disk
-cache keyed by (model, variant, schema mode, decoding, rendered prompt),
-and a rerun only issues requests for examples without a cached success.
-Malformed model output is retried with the identical prompt; after the
-retry budget the example is recorded as failed, which is kept distinct
-from a genuine "nothing to annotate" answer.
+Runs are resumable: every successfully annotated example is appended to
+an on-disk cache keyed by (model, variant, schema mode, decoding,
+rendered prompt), and a rerun only issues requests for examples without
+a cached success. Malformed model output is retried with the identical
+prompt; after the retry budget the example's trace is flagged failed,
+which is kept distinct from a genuine "nothing to annotate" answer, and
+nothing is cached for it, so a rerun requests it again.
 """
 
 from __future__ import annotations
@@ -45,10 +46,8 @@ from ..model import (
 from .adapters import DecodingParams, ProviderAdapter, ProviderError
 from .templates import (
     FewshotExample,
-    PromptTemplate,
     PromptVariant,
     build_annotation_schema,
-    build_template,
     render_prompt,
 )
 
@@ -127,7 +126,8 @@ class CacheError(OSError):
 
 
 class TraceCache:
-    """Append-only JSONL store of completed examples, keyed by prompt hash.
+    """Append-only JSONL store of successfully annotated examples, keyed
+    by prompt hash.
 
     Every record is appended together with its newline, so a final line
     without one was cut short by a kill mid-append. Loading truncates
@@ -184,17 +184,6 @@ class TraceCache:
                 handle.flush()
 
 
-def _template_for(
-    task: str, dataset: Dataset, config: AnnotatorConfig
-) -> PromptTemplate:
-    return build_template(
-        task,
-        config.variant,
-        fewshot_examples=config.fewshot_examples,
-        has_guidelines=bool(dataset.guidelines.strip()),
-    )
-
-
 def annotate_example(
     example: Example,
     dataset: Dataset,
@@ -212,10 +201,8 @@ def annotate_example(
     """
     if prompt is None:
         prompt = render_prompt(
-            _template_for(example.task, dataset, config),
-            example,
-            dataset.categories,
-            dataset.guidelines,
+            example, dataset.categories, dataset.guidelines, config.variant,
+            config.fewshot_examples,
         )
     schema = (
         build_annotation_schema(config.variant is not PromptVariant.NOREASON)
@@ -356,11 +343,10 @@ def annotate_dataset(
         example: Example, key: str, prompt: str
     ) -> tuple[AnnotationSet, Trace]:
         aset, trace = annotate_example(example, dataset, config, adapter, prompt)
-        if cache is not None:
+        if cache is not None and not trace.failed:
             cache.put(key, trace_record(trace, aset))
         return aset, trace
 
-    templates: dict[str, PromptTemplate] = {}
     results: dict[str, tuple[AnnotationSet, Trace]] = {}
 
     # Batches bound the rendered prompts held at once, so memory does not
@@ -373,13 +359,13 @@ def annotate_dataset(
         for start in range(0, len(examples), batch):
             pending: list[tuple[Example, str, str]] = []
             for example in examples[start : start + batch]:
-                if example.task not in templates:
-                    templates[example.task] = _template_for(example.task, dataset, config)
                 prompt = render_prompt(
-                    templates[example.task], example, dataset.categories, dataset.guidelines
+                    example, dataset.categories, dataset.guidelines, config.variant,
+                    config.fewshot_examples,
                 )
                 key = cache_key(config, prompt)
                 cached = cache.get(key) if cache is not None else None
+                # Caches written before failures were left out hold failed records.
                 if cached is not None and not cached.get("failed"):
                     results[example.id] = _set_from_record(example.id, cached, cache.path)
                 else:

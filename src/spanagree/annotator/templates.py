@@ -1,16 +1,16 @@
 """Prompt construction for LLM span annotation.
 
 Each task has a fixed base prompt: task intro, the JSON output
-instructions, the category list, the guideline block, and the fenced
-input/output blocks. Variants modify it: noguide drops the guideline
-block, noreason drops the reason-field request, cot and fiveshot append
-an addendum after the base body.
+instructions, the category list, the guideline block (left out when the
+guidelines are blank), and the fenced input/output blocks. Variants
+modify it: noguide drops the guideline block, noreason drops the
+reason-field request, cot and fiveshot append an addendum after the base
+body.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -32,11 +32,7 @@ class TemplateError(ValueError):
 
 
 class MissingField(TemplateError):
-    """The example lacks a field the template needs (e.g. no source)."""
-
-
-class UnresolvedPlaceholder(TemplateError):
-    """A placeholder survived rendering."""
+    """The example lacks a field the prompt needs (e.g. no source)."""
 
 
 @dataclass(frozen=True)
@@ -48,15 +44,6 @@ class FewshotExample:
     annotations_json: str
     data: str | None = None
 
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    variant: PromptVariant
-    body: str
-    fewshot_examples: tuple[FewshotExample, ...] = ()
-
-
-_PLACEHOLDER_RE = re.compile(r"\{(categories|guidelines|data|source|text|fewshot)\}")
 
 _FIELD_LISTS = {
     True: '"reason", "text", and "annotation_type"',
@@ -84,21 +71,16 @@ _INTROS = {
     "generic": "Your task is to identify relevant spans in the text and classify them.",
 }
 
-_TAILS = {
-    "d2t": (
-        "Given the data:\n```\n{data}\n```\n"
-        "annotate the errors in the corresponding text generated from the data:\n"
-        "```\n{text}\n```"
-    ),
-    "mt": (
-        "Given the source:\n```\n{source}\n```\n"
-        "annotate its translation:\n```\n{text}\n```"
-    ),
-    "propaganda": "Now annotate the following text:\n```\n{text}\n```",
-    "generic": "Now annotate the following text:\n```\n{text}\n```",
+# Heading of the fenced text block that ends the base prompt, per task.
+_TEXT_HEADINGS = {
+    "d2t": "annotate the errors in the corresponding text generated from the data:",
+    "mt": "annotate its translation:",
+    "propaganda": "Now annotate the following text:",
+    "generic": "Now annotate the following text:",
 }
 
-# Label of the input block in few-shot examples, per task.
+# Label of the input block, which comes before the text block and in
+# few-shot examples, per task that has one.
 _INPUT_LABELS = {"d2t": "data", "mt": "source"}
 
 # The fiveshot variant takes exactly this many worked examples.
@@ -136,19 +118,25 @@ def _fewshot_block(task: str, examples: Sequence[FewshotExample]) -> str:
     return "\n\n".join(parts)
 
 
-def build_template(
-    task: str,
+def format_categories(categories: CategorySet) -> str:
+    return "\n".join(
+        f"{c.index}: {c.name} — {c.description}" for c in categories
+    )
+
+
+def render_prompt(
+    example: Example,
+    categories: CategorySet,
+    guidelines: str = "",
     variant: PromptVariant = PromptVariant.BASE,
     fewshot_examples: Sequence[FewshotExample] = (),
-    has_guidelines: bool = True,
-) -> PromptTemplate:
-    """Assemble the prompt body for one task and variant.
+) -> str:
+    """The prompt for one example, its parts joined by blank lines.
 
-    ``has_guidelines`` controls whether the body reserves a guideline
-    block; tasks shipping empty guidelines (propaganda) never get one.
+    The guideline block is left out when the guidelines are blank or the
+    variant is noguide. Texts, sources and guidelines are copied as they
+    are, so placeholder-like strings inside them stay literal.
     """
-    if task not in _INTROS:
-        raise TemplateError(f"no prompt defined for task {task!r}")
     if variant is PromptVariant.FIVESHOT:
         if len(fewshot_examples) != _FIVESHOT_COUNT:
             raise TemplateError(
@@ -158,65 +146,29 @@ def build_template(
     elif fewshot_examples:
         raise TemplateError(f"variant {variant.value} takes no few-shot examples")
 
-    parts = [_INTROS[task], _schema_paragraph(variant is not PromptVariant.NOREASON)]
-    parts.append("{categories}")
-    if has_guidelines and variant is not PromptVariant.NOGUIDE:
-        parts.append("{guidelines}")
-    parts.append(_TAILS[task])
-    if variant is PromptVariant.COT:
-        parts.append(_COT_ADDENDUM)
-    elif variant is PromptVariant.FIVESHOT:
-        parts.append("{fewshot}")
-    body = "\n\n".join(parts)
-    return PromptTemplate(variant, body, tuple(fewshot_examples))
-
-
-def format_categories(categories: CategorySet) -> str:
-    return "\n".join(
-        f"{c.index}: {c.name} — {c.description}" for c in categories
-    )
-
-
-def render_prompt(
-    template: PromptTemplate,
-    example: Example,
-    categories: CategorySet,
-    guidelines: str = "",
-) -> str:
-    """Fill the template's placeholders for one example.
-
-    Substitution is a single pass, so placeholder-like strings inside
-    the example's own text are left untouched.
-    """
-    values = {
-        "categories": format_categories(categories),
-        "guidelines": guidelines,
-        "text": example.text,
-    }
-    if "{data}" in template.body or "{source}" in template.body:
+    parts = [
+        _INTROS[example.task],
+        _schema_paragraph(variant is not PromptVariant.NOREASON),
+        format_categories(categories),
+    ]
+    if guidelines.strip() and variant is not PromptVariant.NOGUIDE:
+        parts.append(guidelines)
+    label = _INPUT_LABELS.get(example.task)
+    blocks = ""
+    if label is not None:
         if not example.source:
             raise MissingField(
                 f"example {example.id!r} has no source but the {example.task} "
                 "prompt requires one"
             )
-        values["data"] = example.source
-        values["source"] = example.source
-    if "{fewshot}" in template.body:
-        values["fewshot"] = _fewshot_block(example.task, template.fewshot_examples)
-
-    unresolved: list[str] = []
-
-    def _substitute(match: re.Match) -> str:
-        name = match.group(1)
-        if name not in values:
-            unresolved.append(name)
-            return match.group(0)
-        return values[name]
-
-    prompt = _PLACEHOLDER_RE.sub(_substitute, template.body)
-    if unresolved:
-        raise UnresolvedPlaceholder(f"unresolved placeholders: {sorted(set(unresolved))}")
-    return prompt
+        blocks = "Given the " + label + ":\n```\n" + example.source + "\n```\n"
+    blocks += _TEXT_HEADINGS[example.task] + "\n```\n" + example.text + "\n```"
+    parts.append(blocks)
+    if variant is PromptVariant.COT:
+        parts.append(_COT_ADDENDUM)
+    elif variant is PromptVariant.FIVESHOT:
+        parts.append(_fewshot_block(example.task, fewshot_examples))
+    return "\n\n".join(parts)
 
 
 def build_annotation_schema(include_reason: bool = True) -> dict:

@@ -260,7 +260,7 @@ class TestAnnotateDataset:
         original = runner.render_prompt
 
         def counting(*args, **kwargs):
-            calls.append(args[1].id)
+            calls.append(args[0].id)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(runner, "render_prompt", counting)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import spanagree
+from spanagree.annotator import MockAdapter
 from spanagree.annotator.runner import cache_key
 from spanagree.cli import ConfigError, _apply_overrides, build_parser, load_run_config, main
 
@@ -295,6 +296,32 @@ class TestExitCodes:
         assert (f"{file}:1: " if jsonl else f"{file}: ") in err
         assert named in err
 
+    @pytest.mark.parametrize("variant, shots, drop_source, named", [
+        ("fiveshot", 3, False, "fiveshot needs exactly 5 examples, got 3"),
+        ("base", 5, False, "variant base takes no few-shot examples"),
+        ("base", 0, True, "example 'ex01' has no source but the d2t prompt requires one"),
+    ], ids=["fiveshot-with-3-shots", "base-with-shots", "d2t-without-source"])
+    def test_prompt_error_exits_2(
+        self, relative_run, capsys, variant, shots, drop_source, named
+    ):
+        config = json.loads(relative_run.read_text(encoding="utf-8"))
+        config["annotator"]["variant"] = variant
+        if shots:
+            shot = {"text": "t", "data": "d", "annotations": []}
+            config["annotator"]["fewshot"] = [shot] * shots
+        relative_run.write_text(json.dumps(config), encoding="utf-8")
+        if drop_source:
+            corpus = relative_run.parent / "corpus.jsonl"
+            first, *rest = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+            record = json.loads(first)
+            del record["source"]
+            corpus.write_text(json.dumps(record) + "\n" + "".join(rest), encoding="utf-8")
+        assert main(["annotate", "--config", str(relative_run)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert named in err
+
     @pytest.mark.parametrize("file", ["run.json", "categories.json"])
     def test_too_deep_json_after_line_1_names_no_position(self, relative_run, capsys, file):
         assert main(["annotate", "--config", str(relative_run)]) == 0
@@ -336,6 +363,26 @@ class TestCommands:
         stdout = capsys.readouterr().out
         for column in ("Ann:", "Ann/Ex:", "w/o%:", "Char/Ann:"):
             assert column in stdout
+
+    def test_failed_example_is_requested_again_but_not_cached(self, mock_config, monkeypatch):
+        # ex03's replies hold no JSON, so every run exhausts its retries
+        path, _ = mock_config
+        cache = path.parent / "cache.jsonl"
+        requested = []
+        complete = MockAdapter.complete
+
+        def recording(self, prompt, decoding, schema=None, request_id=""):
+            requested.append(request_id)
+            return complete(self, prompt, decoding, schema, request_id)
+
+        monkeypatch.setattr(MockAdapter, "complete", recording)
+        assert main(["annotate", "--config", str(path)]) == 0
+        first = cache.read_bytes()
+        requested.clear()
+        assert main(["annotate", "--config", str(path)]) == 0
+        assert cache.read_bytes() == first
+        assert len(first.splitlines()) == 9
+        assert set(requested) == {"ex03"}
 
     def test_self_evaluation_scores_one(self, mock_config, capsys):
         path, out = mock_config

@@ -10,13 +10,12 @@ from spanagree.annotator import (
     PromptVariant,
     TemplateError,
     build_annotation_schema,
-    build_template,
     fewshot_from_config,
     format_categories,
     render_prompt,
 )
 from spanagree.ingest import bundled_category_file
-from spanagree.model import Example
+from spanagree.model import TASKS, Example
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +39,9 @@ def d2t_example():
 
 class TestBasePrompts:
     def test_d2t_base_structure(self, d2t):
-        template = build_template("d2t", PromptVariant.BASE)
-        prompt = render_prompt(template, d2t_example(), d2t.categories, d2t.guidelines)
+        prompt = render_prompt(
+            d2t_example(), d2t.categories, d2t.guidelines, PromptVariant.BASE
+        )
         assert prompt.startswith("Your task is to identify errors in the text")
         assert '"reason", "text", and "annotation_type"' in prompt
         assert "0: Contradictory — The fact contradicts the data." in prompt
@@ -51,8 +51,7 @@ class TestBasePrompts:
 
     def test_mt_base_structure(self, mt):
         example = Example(id="m", text="Hallo Welt", source="Hello world", task="mt")
-        template = build_template("mt", PromptVariant.BASE)
-        prompt = render_prompt(template, example, mt.categories, mt.guidelines)
+        prompt = render_prompt(example, mt.categories, mt.guidelines, PromptVariant.BASE)
         assert "identify errors in the translation" in prompt
         assert "Given the source:\n```\nHello world\n```" in prompt
         assert "annotate its translation:" in prompt
@@ -60,11 +59,9 @@ class TestBasePrompts:
 
     def test_propaganda_has_no_source_block(self, propaganda):
         example = Example(id="p", text="Only the text.", task="propaganda")
-        template = build_template(
-            "propaganda", PromptVariant.BASE, has_guidelines=False
-        )
-        prompt = render_prompt(template, example, propaganda.categories, "")
+        prompt = render_prompt(example, propaganda.categories, "", PromptVariant.BASE)
         assert "propaganda techniques" in prompt
+        assert "\n\n\n" not in prompt  # blank guidelines leave no empty block
         assert "{source}" not in prompt and "{data}" not in prompt
         assert "Now annotate the following text:" in prompt
         assert prompt.count("```") == 2
@@ -79,12 +76,10 @@ class TestBasePrompts:
 class TestVariants:
     def test_noguide_omits_guidelines_only(self, d2t):
         base = render_prompt(
-            build_template("d2t", PromptVariant.BASE),
-            d2t_example(), d2t.categories, d2t.guidelines,
+            d2t_example(), d2t.categories, d2t.guidelines, PromptVariant.BASE,
         )
         noguide = render_prompt(
-            build_template("d2t", PromptVariant.NOGUIDE),
-            d2t_example(), d2t.categories, d2t.guidelines,
+            d2t_example(), d2t.categories, d2t.guidelines, PromptVariant.NOGUIDE,
         )
         assert "Hints:" in base and "Hints:" not in noguide
         assert len(noguide) < len(base)
@@ -93,29 +88,30 @@ class TestVariants:
 
     def test_noreason_drops_reason_request(self, d2t):
         prompt = render_prompt(
-            build_template("d2t", PromptVariant.NOREASON),
-            d2t_example(), d2t.categories, d2t.guidelines,
+            d2t_example(), d2t.categories, d2t.guidelines, PromptVariant.NOREASON,
         )
         assert '"reason"' not in prompt
         assert '"text" and "annotation_type"' in prompt
 
     def test_cot_addendum_appended_after_body(self, d2t):
         prompt = render_prompt(
-            build_template("d2t", PromptVariant.COT),
-            d2t_example(), d2t.categories, d2t.guidelines,
+            d2t_example(), d2t.categories, d2t.guidelines, PromptVariant.COT,
         )
         assert prompt.rstrip().endswith(
             "<think> ... chain of thoughts ... </think> { ... JSON object ... }\n```"
         )
         assert "enclose your chain of thoughts" in prompt
 
-    def test_fiveshot_requires_exact_count(self):
+    def test_fiveshot_requires_exact_count(self, d2t):
         shots = tuple(
             FewshotExample(text=f"t{i}", data=f"d{i}", annotations_json="{}")
             for i in range(3)
         )
         with pytest.raises(TemplateError, match="exactly 5"):
-            build_template("d2t", PromptVariant.FIVESHOT, fewshot_examples=shots)
+            render_prompt(
+                d2t_example(), d2t.categories, d2t.guidelines, PromptVariant.FIVESHOT,
+                shots,
+            )
 
     def test_fiveshot_block_renders_each_example(self, d2t):
         shots = tuple(
@@ -127,8 +123,7 @@ class TestVariants:
             for i in range(5)
         )
         prompt = render_prompt(
-            build_template("d2t", PromptVariant.FIVESHOT, fewshot_examples=shots),
-            d2t_example(), d2t.categories, d2t.guidelines,
+            d2t_example(), d2t.categories, d2t.guidelines, PromptVariant.FIVESHOT, shots,
         )
         assert "five examples of inputs, outputs and annotations" in prompt
         for i in range(5):
@@ -136,21 +131,33 @@ class TestVariants:
             assert f"data:\n```\ndata number {i}\n```" in prompt
         assert prompt.index("Given the data:") < prompt.index("Example #1:")
 
-    def test_base_rejects_fewshot_examples(self):
+    def test_base_rejects_fewshot_examples(self, d2t):
         with pytest.raises(TemplateError):
-            build_template(
-                "d2t", PromptVariant.BASE,
-                fewshot_examples=(FewshotExample(text="t", annotations_json="{}"),),
+            render_prompt(
+                d2t_example(), d2t.categories, d2t.guidelines, PromptVariant.BASE,
+                (FewshotExample(text="t", annotations_json="{}"),),
             )
+
+    @pytest.mark.parametrize("variant", list(PromptVariant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("task", TASKS)
+    def test_every_task_renders_every_variant(self, d2t, task, variant):
+        example = Example(id="e", text="the text", source="the source", task=task)
+        shots = tuple(
+            FewshotExample(text=f"t{i}", data=f"d{i}", annotations_json="{}")
+            for i in range(5 if variant is PromptVariant.FIVESHOT else 0)
+        )
+        prompt = render_prompt(example, d2t.categories, "Hints: none", variant, shots)
+        assert prompt.startswith("Your task is to identify ")
+        assert "0: Contradictory" in prompt
+        assert ("Hints: none" in prompt) is (variant is not PromptVariant.NOGUIDE)
+        assert ":\n```\nthe text\n```" in prompt
 
 
 class TestRendering:
     def test_missing_source_raises(self, d2t):
         example = Example(id="e", text="no source here", task="d2t")
         with pytest.raises(MissingField):
-            render_prompt(
-                build_template("d2t"), example, d2t.categories, d2t.guidelines
-            )
+            render_prompt(example, d2t.categories, d2t.guidelines)
 
     def test_placeholder_in_example_text_is_not_substituted(self, d2t):
         example = Example(
@@ -158,15 +165,10 @@ class TestRendering:
             task="d2t",
         )
         prompt = render_prompt(
-            build_template("d2t", PromptVariant.NOGUIDE),
-            example, d2t.categories, d2t.guidelines,
+            example, d2t.categories, d2t.guidelines, PromptVariant.NOGUIDE,
         )
         assert "literal {text} and {categories} stay" in prompt
         assert "{data} too" in prompt
-
-    def test_unknown_task(self):
-        with pytest.raises(TemplateError):
-            build_template("haiku")
 
 
 class TestAnnotationSchema:
