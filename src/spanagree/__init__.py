@@ -12,7 +12,6 @@ from .model import (
     SpanAnnotation,
     Trace,
     normalize_annotation_set,
-    validate_campaign,
 )
 
 __version__ = "0.1.0"
@@ -29,5 +28,4 @@ __all__ = [
     "Trace",
     "__version__",
     "normalize_annotation_set",
-    "validate_campaign",
 ]

@@ -12,15 +12,8 @@ from .alignment import (
     gamma_score,
     observed_disorder,
     oracle_best_alignment,
-    recompute_cost,
 )
-from .dissimilarity import (
-    DissimilarityConfig,
-    categorical_dissimilarity,
-    pair_cost_matrix,
-    positional_dissimilarity,
-    unit_dissimilarity,
-)
+from .dissimilarity import DissimilarityConfig, pair_cost_matrix
 
 __all__ = [
     "Alignment",
@@ -31,13 +24,9 @@ __all__ = [
     "TooLarge",
     "alignment_cost",
     "best_alignment",
-    "categorical_dissimilarity",
     "expected_disorder",
     "gamma_score",
     "observed_disorder",
     "oracle_best_alignment",
     "pair_cost_matrix",
-    "positional_dissimilarity",
-    "recompute_cost",
-    "unit_dissimilarity",
 ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..model import ModelError, SpanAnnotation
-from .dissimilarity import DissimilarityConfig, Unit, pair_cost_matrix, unit_dissimilarity
+from .dissimilarity import DissimilarityConfig, Unit, pair_cost_matrix
 from .solver import solve_assignment
 
 logger = logging.getLogger(__name__)
@@ -68,20 +68,6 @@ class Alignment:
     disorder: float
 
 
-def recompute_cost(
-    alignment: Alignment,
-    left: Sequence[SpanAnnotation],
-    right: Sequence[SpanAnnotation],
-    cfg: DissimilarityConfig,
-) -> float:
-    """Cost of an alignment's structure, recomputed from scratch."""
-    total = 0.0
-    for i, j in alignment.pairs:
-        total += unit_dissimilarity(left[i], right[j], cfg)
-    total += cfg.delta_empty * (len(alignment.unaligned_left) + len(alignment.unaligned_right))
-    return total
-
-
 def _build_alignment(
     pairs: Sequence[tuple[int, int]],
     unaligned_left: Sequence[int],
@@ -89,7 +75,7 @@ def _build_alignment(
     pair: list[list[float]],
     penalty: float,
 ) -> Alignment:
-    """Alignment whose disorder is summed like recompute_cost: the sorted
+    """Alignment whose disorder is summed in one fixed order: the sorted
     pairs' costs, then one penalty per unaligned unit."""
     pairs = tuple(sorted(pairs))
     total = 0.0

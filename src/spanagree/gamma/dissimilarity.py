@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..model import SpanAnnotation
-
 # A unit as the alignment sees it: (start, end, category).
 Unit = tuple[int, int, int]
 
@@ -40,34 +38,16 @@ class DissimilarityConfig:
             )
         if self.alpha < 0 or self.beta < 0 or self.delta_empty < 0:
             raise ValueError("dissimilarity weights must be non-negative")
-        if self.alpha + self.beta <= 0:
+        total = self.alpha + self.beta
+        if total <= 0:
             raise ValueError("alpha + beta must be positive")
-
-
-def positional_dissimilarity(
-    u: SpanAnnotation, v: SpanAnnotation, cfg: DissimilarityConfig
-) -> float:
-    """Squared offset distance normalized by the combined span length."""
-    d = (abs(u.start - v.start) + abs(u.end - v.end)) / (len(u) + len(v))
-    return cfg.delta_empty * (d * d)
-
-
-def categorical_dissimilarity(
-    u: SpanAnnotation, v: SpanAnnotation, cfg: DissimilarityConfig
-) -> float:
-    """Binary category distance: 0 on match, delta_empty otherwise."""
-    return 0.0 if u.category == v.category else cfg.delta_empty
-
-
-def unit_dissimilarity(
-    u: SpanAnnotation, v: SpanAnnotation, cfg: DissimilarityConfig
-) -> float:
-    """Weighted combination of positional and categorical dissimilarity."""
-    scale = 2.0 / (cfg.alpha + cfg.beta)
-    return scale * (
-        cfg.alpha * positional_dissimilarity(u, v, cfg)
-        + cfg.beta * categorical_dissimilarity(u, v, cfg)
-    )
+        # An infinite sum zeroes the cost scale and an infinite scale turns
+        # identical units' cost into nan; either breaks gamma == 1 iff identical.
+        if not (math.isfinite(total) and math.isfinite(2.0 / total)):
+            raise ValueError(
+                f"cost scale 2 / (alpha + beta) must be finite and non-zero, "
+                f"got alpha={self.alpha}, beta={self.beta}"
+            )
 
 
 def pair_cost_matrix(
@@ -77,8 +57,11 @@ def pair_cost_matrix(
 ) -> list[list[float]]:
     """Unit dissimilarities for all pairs, as n rows of m costs.
 
-    The same operations in the same order as unit_dissimilarity, so
-    solver costs and per-pair recomputations agree exactly.
+    The cost of a pair is
+    ``scale * (alpha * delta_empty * d**2 + beta * [0 | delta_empty])``
+    with ``scale = 2 / (alpha + beta)``, where ``d`` is the summed
+    offset distance over the summed span length and the bracket is 0
+    when the categories match and delta_empty otherwise.
     """
     alpha, delta = cfg.alpha, cfg.delta_empty
     same, differ = cfg.beta * 0.0, cfg.beta * delta

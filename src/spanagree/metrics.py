@@ -320,9 +320,11 @@ class ConfusionMatrix:
 def confusion_matrix(reference: Campaign, candidate: Campaign, k: int) -> ConfusionMatrix:
     """Pair each reference annotation with the candidate annotation of
     maximal character overlap (ties to the lower start; zero overlap
-    leaves it unpaired) and count category co-occurrences."""
+    leaves it unpaired) and count category co-occurrences. Examples
+    failed on either side are skipped, as in aggregate."""
     counts = [[0] * k for _ in range(k)]
-    for example_id in sorted(set(reference.sets) & set(candidate.sets)):
+    failed = reference.failed_ids() | candidate.failed_ids()
+    for example_id in sorted((set(reference.sets) & set(candidate.sets)) - failed):
         cand_set = candidate.sets[example_id]
         for ref_ann in reference.sets[example_id]:
             best: SpanAnnotation | None = None

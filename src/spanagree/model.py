@@ -103,14 +103,6 @@ class SpanAnnotation:
         return (self.start, self.end, self.category)
 
 
-def _check_bounds(annotation: SpanAnnotation, text_length: int) -> None:
-    if annotation.end > text_length:
-        raise SpanOutOfBounds(
-            f"span [{annotation.start}, {annotation.end}) of category "
-            f"{annotation.category} exceeds text length {text_length}"
-        )
-
-
 @dataclass(frozen=True)
 class AnnotationSet:
     """All annotations one annotator produced for one example.
@@ -155,7 +147,11 @@ def normalize_annotation_set(
     """
     items = sorted(raw, key=lambda a: a.sort_key)
     for a in items:
-        _check_bounds(a, len(text))
+        if a.end > len(text):
+            raise SpanOutOfBounds(
+                f"span [{a.start}, {a.end}) of category "
+                f"{a.category} exceeds text length {len(text)}"
+            )
 
     kept: list[SpanAnnotation] = []
     dropped: list[SpanAnnotation] = []
@@ -282,21 +278,3 @@ class Campaign:
 
     def __len__(self) -> int:
         return len(self.sets)
-
-
-def validate_campaign(campaign: Campaign, dataset: Dataset) -> None:
-    """Check that every set refers to a known example and stays in bounds."""
-    for example_id, aset in campaign.sets.items():
-        if example_id not in dataset:
-            raise ModelError(
-                f"campaign {campaign.annotator_id!r} annotates unknown "
-                f"example {example_id!r}"
-            )
-        text = dataset[example_id].text
-        for a in aset:
-            _check_bounds(a, len(text))
-            if a.category >= dataset.k:
-                raise ModelError(
-                    f"example {example_id!r}: category {a.category} out of "
-                    f"range for k={dataset.k}"
-                )

@@ -165,6 +165,19 @@ class TestExitCodes:
         assert "run.json" in err and "must be finite" in err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("weights", [
+        '"alpha": 1e308, "beta": 1e308',
+        '"alpha": 1e-320, "beta": 0',
+    ])
+    def test_overflowing_cost_scale_exits_2(self, mock_config, capsys, weights):
+        path, out = mock_config
+        path.write_text(path.read_text().replace('"n_samples": 10', f'{weights}, "n_samples": 10'))
+        assert main(["evaluate", "--config", str(path), "gold", "gold"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "run.json" in err and "cost scale" in err
+        assert not (out / "report.json").exists()
+
     def test_missing_config_file_exits_3(self, tmp_path):
         assert main(["stats", "--config", str(tmp_path / "nope.json"), "g"]) == 3
 

@@ -13,21 +13,18 @@ from spanagree.gamma import (
     TooLarge,
     alignment_cost,
     best_alignment,
-    categorical_dissimilarity,
     expected_disorder,
     gamma_score,
     observed_disorder,
     oracle_best_alignment,
     pair_cost_matrix,
-    positional_dissimilarity,
-    recompute_cost,
-    unit_dissimilarity,
 )
 from spanagree.gamma import alignment, solver
 from spanagree.gamma.alignment import _child_rng, _resample
 from spanagree.model import ModelError, SpanAnnotation
 
 from conftest import random_spans
+from test_gamma_reference import ref_pair_cost_matrix
 
 
 def S(start, end, category=0):
@@ -42,34 +39,36 @@ def units(spans):
 CFG = DissimilarityConfig()
 
 
+def cost(u, v, cfg=CFG):
+    """The cost of one pair, read from a 1x1 pair_cost_matrix."""
+    [[value]] = pair_cost_matrix(units([u]), units([v]), cfg)
+    return value
+
+
 class TestDissimilarity:
+    # Under the default weights (scale 1) a same-category pair costs only
+    # its positional term and a same-offsets pair only its categorical one.
     def test_positional_identical(self):
-        assert positional_dissimilarity(S(0, 10), S(0, 10), CFG) == 0.0
+        assert cost(S(0, 10), S(0, 10)) == 0.0
 
     def test_positional_partial_shift(self):
-        assert positional_dissimilarity(S(0, 10), S(5, 15), CFG) == pytest.approx(0.25, abs=1e-15)
+        assert cost(S(0, 10), S(5, 15)) == pytest.approx(0.25, abs=1e-15)
 
     def test_positional_far_spans(self):
-        assert positional_dissimilarity(S(0, 10), S(20, 30), CFG) == pytest.approx(4.0, abs=1e-15)
+        assert cost(S(0, 10), S(20, 30)) == pytest.approx(4.0, abs=1e-15)
 
     def test_categorical_same(self):
-        assert categorical_dissimilarity(S(0, 5, 1), S(2, 7, 1), CFG) == 0.0
+        assert cost(S(0, 5, 1), S(0, 5, 1)) == 0.0
 
     def test_categorical_different(self):
-        assert categorical_dissimilarity(S(0, 5, 0), S(2, 7, 1), CFG) == 1.0
+        assert cost(S(0, 5, 0), S(0, 5, 1)) == 1.0
 
     def test_categorical_scales_with_delta(self):
         cfg = DissimilarityConfig(delta_empty=2.0)
-        assert categorical_dissimilarity(S(0, 5, 0), S(2, 7, 1), cfg) == 2.0
-
-    def test_unit_identical(self):
-        assert unit_dissimilarity(S(0, 10, 0), S(0, 10, 0), CFG) == 0.0
-
-    def test_unit_positional_only(self):
-        assert unit_dissimilarity(S(0, 10, 0), S(5, 15, 0), CFG) == pytest.approx(0.25, abs=1e-15)
+        assert cost(S(0, 5, 0), S(0, 5, 1), cfg) == 2.0
 
     def test_unit_combined(self):
-        assert unit_dissimilarity(S(0, 10, 0), S(5, 15, 1), CFG) == pytest.approx(1.25, abs=1e-15)
+        assert cost(S(0, 10, 0), S(5, 15, 1)) == pytest.approx(1.25, abs=1e-15)
 
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -83,15 +82,21 @@ class TestDissimilarity:
         with pytest.raises(ValueError, match="must be finite"):
             DissimilarityConfig(**{name: value})
 
-    def test_matrix_matches_scalar_exactly(self):
+    @pytest.mark.parametrize("weights", [
+        {"alpha": 1e308, "beta": 1e308},  # alpha + beta overflows, scale 0
+        {"alpha": 1e-320, "beta": 0.0},  # 2 / (alpha + beta) overflows
+    ])
+    def test_overflowing_cost_scale_rejected(self, weights):
+        with pytest.raises(ValueError, match="cost scale"):
+            DissimilarityConfig(**weights)
+
+    def test_matrix_matches_reference_exactly(self):
         rng = random.Random(11)
         cfg = DissimilarityConfig(alpha=0.7, beta=1.9, delta_empty=1.3)
         left = random_spans(rng, 40, 5)
         right = random_spans(rng, 40, 4)
         matrix = pair_cost_matrix(units(left), units(right), cfg)
-        for i, u in enumerate(left):
-            for j, v in enumerate(right):
-                assert matrix[i][j] == unit_dissimilarity(u, v, cfg)
+        assert matrix == ref_pair_cost_matrix(left, right, cfg).tolist()
 
 
 class TestBestAlignment:
@@ -148,9 +153,11 @@ class TestBestAlignment:
             left = random_spans(rng, 50, rng.randint(1, 5))
             right = random_spans(rng, 50, rng.randint(1, 5))
             alignment = best_alignment(left, right, CFG)
-            assert recompute_cost(alignment, left, right, CFG) == pytest.approx(
-                alignment.disorder, abs=1e-12
+            pair = ref_pair_cost_matrix(left, right, CFG).tolist()
+            recomputed = sum(pair[i][j] for i, j in alignment.pairs) + CFG.delta_empty * (
+                len(alignment.unaligned_left) + len(alignment.unaligned_right)
             )
+            assert recomputed == pytest.approx(alignment.disorder, abs=1e-12)
 
     def test_tie_breaks_to_lexicographically_smallest(self):
         # two identical units on each side: (0,0),(1,1) ties with (0,1),(1,0)

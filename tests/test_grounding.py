@@ -192,8 +192,9 @@ class TestExtractLastJson:
 
 
 class TestHostileReplies:
-    """Truncated or hostile replies are parsed in time linear in their
-    length; each must finish well inside a worker's budget."""
+    """Truncated or hostile replies must each finish well inside a
+    worker's budget. A reply packed with bare ``{`` still takes time
+    quadratic in its length."""
 
     @pytest.mark.parametrize("text", [
         '{"a": ' * 8_000,

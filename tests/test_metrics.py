@@ -412,6 +412,24 @@ class TestConfusionMatrix:
             assert all(c >= 0 for row in cm.counts for c in row)
             assert sum(map(sum, cm.counts)) <= len(ref_spans)
 
+    @pytest.mark.parametrize("failed_side", ["reference", "candidate"])
+    def test_failed_examples_skipped_like_aggregate(self, failed_side):
+        # e2's candidate span would count as a category 0 -> 1 confusion
+        failed = {"e2": Trace(example_id="e2", failed=True)}
+        ref = Campaign(
+            "r",
+            "test",
+            {"e1": as_set("e1", [S(0, 5, 0)]), "e2": as_set("e2", [S(0, 5, 0)])},
+            traces=failed if failed_side == "reference" else {},
+        )
+        cand = Campaign(
+            "c",
+            "test",
+            {"e1": as_set("e1", [S(0, 5, 0)]), "e2": as_set("e2", [S(0, 5, 1)])},
+            traces=failed if failed_side == "candidate" else {},
+        )
+        assert confusion_matrix(ref, cand, k=2).counts == ((1, 0), (0, 0))
+
 
 class TestAnnotationStats:
     def test_hand_computed(self):

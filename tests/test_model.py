@@ -14,10 +14,9 @@ from spanagree.model import (
     SpanAnnotation,
     SpanOutOfBounds,
     normalize_annotation_set,
-    validate_campaign,
 )
 
-from conftest import make_categories, make_dataset
+from conftest import make_categories
 
 
 def S(start, end, category=0, **kw):
@@ -155,17 +154,6 @@ class TestDatasetAndCampaign:
         campaign = Campaign("ann", "ds", {"a": AnnotationSet("a")})
         assert "a" in campaign.sets
         assert "b" not in campaign.sets
-
-    def test_validate_campaign_checks_bounds_and_categories(self):
-        dataset = make_dataset({"a": "short"}, k=2)
-        ok = Campaign("ann", "ds", {"a": AnnotationSet("a", (S(0, 5, 1),))})
-        validate_campaign(ok, dataset)
-        bad_span = Campaign("ann", "ds", {"a": AnnotationSet("a", (S(0, 9, 0),))})
-        with pytest.raises(ModelError):
-            validate_campaign(bad_span, dataset)
-        bad_cat = Campaign("ann", "ds", {"a": AnnotationSet("a", (S(0, 5, 7),))})
-        with pytest.raises(ModelError):
-            validate_campaign(bad_cat, dataset)
 
     def test_failed_ids_come_from_traces(self):
         from spanagree.model import Trace

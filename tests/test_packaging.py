@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -51,3 +52,10 @@ def test_test_extra_covers_test_imports():
     # the scan sees the tests' own numpy import and skips their local modules
     assert "numpy" in imported and "conftest" not in imported
     assert imported <= declared, imported - declared
+
+
+@pytest.mark.parametrize("package", ["spanagree", "spanagree.gamma", "spanagree.annotator"])
+def test_every_public_name_resolves(package):
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, f"{package}.__all__ names what it does not define: {missing}"
