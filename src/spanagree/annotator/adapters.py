@@ -4,13 +4,11 @@ runs and tests."""
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import os
 import threading
 import time
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Protocol, runtime_checkable
@@ -152,6 +150,11 @@ class OpenAIChatAdapter:
         schema: dict | None = None,
         request_id: str = "",
     ) -> CompletionResult:
+        # Imported here, not at module level: they load ssl, socket and
+        # email, which no command without an HTTP request should pay for.
+        import http.client
+        import urllib.request
+
         payload: dict = {
             "model": self.model_id,
             "messages": [{"role": "user", "content": prompt}],

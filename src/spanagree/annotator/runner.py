@@ -15,7 +15,6 @@ import hashlib
 import json
 import logging
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -334,6 +333,9 @@ def annotate_dataset(
     completion order. Transport-dead examples are flagged failed rather
     than aborting the run.
     """
+    # Imported here because evaluate imports this module too and starts no pool.
+    from concurrent.futures import ThreadPoolExecutor, wait
+
     cache = TraceCache(cache_path) if cache_path is not None else None
 
     # The worker writes each record as its example finishes, so a kill

@@ -241,6 +241,15 @@ def aggregate(
             r_hard = example_recall(cand_set, ref_set, MatchMode.HARD)
             p_soft = example_precision(cand_set, ref_set, MatchMode.SOFT)
             r_soft = example_recall(cand_set, ref_set, MatchMode.SOFT)
+            gamma = gamma_score(ref_set, cand_set, len(text), gamma_config, example_id)
+            # A finite but huge delta_empty can overflow the disorder sums to
+            # inf / inf; a nan here would reach report.json as invalid JSON.
+            if gamma is not None and not math.isfinite(gamma):
+                raise MetricError(
+                    f"example {example_id!r}: gamma is {gamma}, because "
+                    f"delta_empty={gamma_config.dissimilarity.delta_empty} "
+                    "overflows the disorder costs; use a smaller delta_empty"
+                )
             rows.append(
                 ExampleScores(
                     example_id,
@@ -253,9 +262,7 @@ def aggregate(
                     precision_soft=p_soft,
                     recall_soft=r_soft,
                     f1_soft=_harmonic(p_soft, r_soft),
-                    gamma=gamma_score(
-                        ref_set, cand_set, len(text), gamma_config, example_id
-                    ),
+                    gamma=gamma,
                 )
             )
         else:

@@ -18,6 +18,9 @@ from spanagree.cli import ConfigError, _apply_overrides, build_parser, load_run_
 
 from conftest import FIXTURES, write_bundled_categories
 
+# Loaded only by the OpenAI-compatible adapter when it sends a request.
+NETWORK_MODULES = ["http.client", "urllib.request", "ssl", "email.parser"]
+
 
 @pytest.fixture
 def mock_config(tmp_path):
@@ -176,6 +179,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "run.json" in err and "cost scale" in err
+        assert not (out / "report.json").exists()
+
+    def test_overflowing_delta_empty_exits_2(self, mock_config, capsys):
+        # Gold against itself scores 1.0 before any cost is summed, so the
+        # overflow shows only against the annotated campaign.
+        path, out = mock_config
+        assert main(["annotate", "--config", str(path)]) == 0
+        path.write_text(path.read_text().replace(
+            '"n_samples": 10', '"delta_empty": 1e308, "n_samples": 10'))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(path), "gold", "llm"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "delta_empty=1e+308" in err and "gamma is nan" in err
         assert not (out / "report.json").exists()
 
     def test_missing_config_file_exits_3(self, tmp_path):
@@ -427,31 +444,39 @@ class TestCommands:
         )
 
     @staticmethod
-    def assert_run_leaves_out(module, argv):
-        """``main(argv)`` in a fresh interpreter exits 0 without importing
-        ``module``."""
+    def assert_leaves_out(modules, code):
+        """``code`` runs in a fresh interpreter without importing any of
+        ``modules``."""
         src = Path(spanagree.__file__).parent.parent
-        script = (
-            "import sys\n"
-            "from spanagree.cli import main\n"
-            f"code = main({argv!r})\n"
-            "assert code == 0, code\n"
-            f"assert {module!r} not in sys.modules\n"
-        )
+        script = f"import sys\n{code}\nassert not set({modules!r}) & set(sys.modules)\n"
         env = {**os.environ, "PYTHONPATH": str(src)}
         subprocess.run([sys.executable, "-c", script], env=env, check=True,
                        capture_output=True)
 
-    @pytest.mark.parametrize("module", ["numpy", "scipy", "requests", "urllib3"])
+    @classmethod
+    def assert_run_leaves_out(cls, module, argv):
+        """``main(argv)`` in a fresh interpreter exits 0 without importing
+        ``module``."""
+        cls.assert_leaves_out(
+            [module], f"from spanagree.cli import main\nassert main({argv!r}) == 0"
+        )
+
+    @pytest.mark.parametrize(
+        "module", ["numpy", "scipy", "requests", "urllib3", *NETWORK_MODULES, "concurrent.futures"]
+    )
     def test_evaluate_does_not_import(self, mock_config, module):
         path, _ = mock_config
         self.assert_run_leaves_out(module, ["evaluate", "--config", str(path), "gold", "gold"])
 
-    @pytest.mark.parametrize("module", ["numpy", "scipy", "requests"])
+    @pytest.mark.parametrize("module", ["numpy", "scipy", "requests", *NETWORK_MODULES])
     def test_annotate_mock_does_not_import(self, mock_config, module):
         path, _ = mock_config
         replies = str(FIXTURES / "replies10.jsonl")
         self.assert_run_leaves_out(module, ["annotate", "--config", str(path), "--mock", replies])
+
+    def test_import_does_not_load_network_or_pool(self):
+        # What every command pays before it parses its arguments.
+        self.assert_leaves_out([*NETWORK_MODULES, "concurrent.futures"], "import spanagree.cli")
 
     def test_output_override(self, mock_config, tmp_path):
         path, _ = mock_config
