@@ -20,7 +20,6 @@ from .runner import (
 )
 from .templates import (
     FewshotExample,
-    MissingField,
     PromptVariant,
     TemplateError,
     build_annotation_schema,
@@ -35,7 +34,6 @@ __all__ = [
     "DecodingParams",
     "FewshotExample",
     "MissingApiKey",
-    "MissingField",
     "MockAdapter",
     "OpenAIChatAdapter",
     "PromptVariant",

@@ -11,7 +11,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, Protocol
 
 from ..ingest import IngestError, KeyTypes, ParseError, check_object, decode_json, read_jsonl
 
@@ -44,10 +44,7 @@ class MissingApiKey(ProviderError):
         self.env_var = env_var
 
 
-@runtime_checkable
 class ProviderAdapter(Protocol):
-    name: str
-
     def complete(
         self,
         prompt: str,
@@ -65,8 +62,6 @@ class MockAdapter:
     reply repeats once the list is exhausted. Latency is always 0 to
     keep runs byte-reproducible.
     """
-
-    name = "mock"
 
     def __init__(self, replies: dict[str, list[str]]):
         for request_id, items in replies.items():
@@ -123,8 +118,6 @@ class OpenAIChatAdapter:
     construction time and never logged. Constrained output is requested
     through the json_schema response format when a schema is given.
     """
-
-    name = "openai-chat"
 
     def __init__(
         self,

@@ -245,11 +245,11 @@ def annotate_example(
                 failures += 1
                 continue
         try:
-            raws, report = parse_annotation_payload(payload, dataset.k, example.id)
+            raws, report = parse_annotation_payload(payload, dataset.k)
         except GroundingError:
             failures += 1
             continue
-        spans, ground_report = ground_annotations(raws, example.text, example.id)
+        spans, ground_report = ground_annotations(raws, example.text)
         report.merge(ground_report)
         if report.dropped:
             logger.debug(
@@ -324,7 +324,6 @@ def annotate_dataset(
     config: AnnotatorConfig,
     adapter: ProviderAdapter,
     cache_path: str | Path | None = None,
-    dataset_ref: str = "",
 ) -> Campaign:
     """Annotate every example, reusing cached successes.
 
@@ -385,9 +384,4 @@ def annotate_dataset(
 
     sets = {example_id: aset for example_id, (aset, _) in results.items()}
     traces = {example_id: trace for example_id, (_, trace) in results.items()}
-    return Campaign(
-        annotator_id=config.resolved_annotator_id,
-        dataset_ref=dataset_ref,
-        sets=sets,
-        traces=traces,
-    )
+    return Campaign(annotator_id=config.resolved_annotator_id, sets=sets, traces=traces)

@@ -31,10 +31,6 @@ class TemplateError(ValueError):
     pass
 
 
-class MissingField(TemplateError):
-    """The example lacks a field the prompt needs (e.g. no source)."""
-
-
 @dataclass(frozen=True)
 class FewshotExample:
     """One worked example for the few-shot addendum: the input data, the
@@ -110,7 +106,7 @@ def _fewshot_block(task: str, examples: Sequence[FewshotExample]) -> str:
         section = [f"Example #{pos}:"]
         if label is not None:
             if shot.data is None:
-                raise MissingField(f"few-shot example {pos} needs a {label!r} field")
+                raise TemplateError(f"few-shot example {pos} needs a {label!r} field")
             section.append(f"{label}:\n```\n{shot.data}\n```")
         section.append(f"text:\n```\n{shot.text}\n```")
         section.append(f"output:\n```\n{shot.annotations_json}\n```")
@@ -157,7 +153,7 @@ def render_prompt(
     blocks = ""
     if label is not None:
         if not example.source:
-            raise MissingField(
+            raise TemplateError(
                 f"example {example.id!r} has no source but the {example.task} "
                 "prompt requires one"
             )

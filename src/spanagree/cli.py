@@ -230,13 +230,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_run_config(args.config), args)
     dataset = load_dataset(config.corpus, config.categories)
     adapter = _make_adapter(config)
-    campaign = annotate_dataset(
-        dataset,
-        config.annotator,
-        adapter,
-        cache_path=config.cache,
-        dataset_ref=str(config.corpus),
-    )
+    campaign = annotate_dataset(dataset, config.annotator, adapter, cache_path=config.cache)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     export_campaign(campaign, config.output_dir / "campaign.jsonl")
     with open(

@@ -2,10 +2,7 @@
 
 from .alignment import (
     Alignment,
-    DegenerateText,
-    EmptySide,
     GammaConfig,
-    TooLarge,
     alignment_cost,
     best_alignment,
     expected_disorder,
@@ -17,11 +14,8 @@ from .dissimilarity import DissimilarityConfig, pair_cost_matrix
 
 __all__ = [
     "Alignment",
-    "DegenerateText",
     "DissimilarityConfig",
-    "EmptySide",
     "GammaConfig",
-    "TooLarge",
     "alignment_cost",
     "best_alignment",
     "expected_disorder",

@@ -30,18 +30,6 @@ _COST_RTOL = 1e-9
 ORACLE_LIMIT = 6
 
 
-class EmptySide(ValueError):
-    """Alignment requires both annotation sets to be non-empty."""
-
-
-class TooLarge(ValueError):
-    """The exhaustive oracle only handles tiny instances."""
-
-
-class DegenerateText(ValueError):
-    """A span is longer than the text it should be repositioned in."""
-
-
 @dataclass(frozen=True)
 class GammaConfig:
     """Settings for the chance-corrected score: dissimilarity weights
@@ -194,7 +182,7 @@ def alignment_cost(
     """Cost of the best alignment, without materializing its structure."""
     a, b = _as_units(left), _as_units(right)
     if not a or not b:
-        raise EmptySide("both annotation sets must be non-empty")
+        raise ModelError("both annotation sets must be non-empty")
     return _matching(pair_cost_matrix(a, b, cfg), cfg.delta_empty)[0]
 
 
@@ -211,7 +199,7 @@ def best_alignment(
     """
     a, b = _as_units(left), _as_units(right)
     if not a or not b:
-        raise EmptySide("both annotation sets must be non-empty")
+        raise ModelError("both annotation sets must be non-empty")
     pair = pair_cost_matrix(a, b, cfg)
     penalty = cfg.delta_empty
     c_star = _matching(pair, penalty)[0]
@@ -276,9 +264,9 @@ def oracle_best_alignment(
     """
     a, b = _as_units(left), _as_units(right)
     if not a or not b:
-        raise EmptySide("both annotation sets must be non-empty")
+        raise ModelError("both annotation sets must be non-empty")
     if len(a) > ORACLE_LIMIT or len(b) > ORACLE_LIMIT:
-        raise TooLarge(f"oracle handles at most {ORACLE_LIMIT} annotations per side")
+        raise ModelError(f"oracle handles at most {ORACLE_LIMIT} annotations per side")
 
     pair = pair_cost_matrix(a, b, cfg)
     penalty = cfg.delta_empty
@@ -333,7 +321,7 @@ def observed_disorder(
     """Best-alignment cost divided by the average unit count."""
     a, b = _as_units(left), _as_units(right)
     if not a or not b:
-        raise EmptySide("both annotation sets must be non-empty")
+        raise ModelError("both annotation sets must be non-empty")
     return alignment_cost(a, b, cfg) / ((len(a) + len(b)) / 2.0)
 
 
@@ -373,12 +361,12 @@ def expected_disorder(
     """
     a, b = _as_units(left), _as_units(right)
     if not a or not b:
-        raise EmptySide("both annotation sets must be non-empty")
+        raise ModelError("both annotation sets must be non-empty")
     if text_length <= 0:
-        raise DegenerateText("text_length must be positive")
+        raise ModelError("text_length must be positive")
     for start, end, _ in a + b:
         if end - start > text_length:
-            raise DegenerateText(
+            raise ModelError(
                 f"span of length {end - start} cannot fit in text of length {text_length}"
             )
     rng = _child_rng(cfg.seed, example_id)

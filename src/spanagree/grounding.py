@@ -9,7 +9,7 @@ dropped and reported; wrong offsets are worse than missing spans.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from .model import SpanAnnotation
@@ -17,27 +17,9 @@ from .model import SpanAnnotation
 _OPEN, _CLOSE = "<think>", "</think>"
 _DECODER = json.JSONDecoder()
 
-# Drop reason codes used in GroundingReport.notes.
-NOTE_UNMATCHED = "unmatched-surface"
-NOTE_BAD_CATEGORY = "bad-category"
-NOTE_MALFORMED = "malformed-item"
-NOTE_CASE_FALLBACK = "case-insensitive-match"
-
 
 class GroundingError(ValueError):
     pass
-
-
-class NoJsonFound(GroundingError):
-    """No balanced, parseable top-level JSON object in the model output."""
-
-
-class MissingAnnotationsKey(GroundingError):
-    """The payload object has no "annotations" key."""
-
-
-class NotAList(GroundingError):
-    """The "annotations" value is not a list."""
 
 
 @dataclass(frozen=True)
@@ -51,28 +33,26 @@ class RawAnnotation:
 
 @dataclass
 class GroundingReport:
-    """Bookkeeping for one grounding pass; counts always add up to the
-    number of raw items processed."""
+    """Counts for one grounding pass. Grounded plus dropped always adds up
+    to the number of raw items processed; case_fallbacks counts the
+    grounded surfaces found only by case-insensitive matching."""
 
     grounded: int = 0
     dropped_unmatched: int = 0
     dropped_bad_category: int = 0
     dropped_malformed: int = 0
-    notes: list[tuple[str, str, str]] = field(default_factory=list)
+    case_fallbacks: int = 0
 
     @property
     def dropped(self) -> int:
         return self.dropped_unmatched + self.dropped_bad_category + self.dropped_malformed
-
-    def note(self, example_id: str, surface: str, code: str) -> None:
-        self.notes.append((example_id, surface, code))
 
     def merge(self, other: "GroundingReport") -> None:
         self.grounded += other.grounded
         self.dropped_unmatched += other.dropped_unmatched
         self.dropped_bad_category += other.dropped_bad_category
         self.dropped_malformed += other.dropped_malformed
-        self.notes.extend(other.notes)
+        self.case_fallbacks += other.case_fallbacks
 
 
 def split_reasoning(raw: str) -> tuple[str, str]:
@@ -104,7 +84,7 @@ def extract_last_json_object(text: str) -> dict[str, Any]:
     Each ``{`` is tried with the standard decoder; a success resumes the
     search after the object, a failure (including nesting too deep for
     the decoder) at the next ``{``, so the interior of an invalid
-    candidate is still searched. Raises NoJsonFound if nothing parses.
+    candidate is still searched. Raises GroundingError if nothing parses.
     """
     last = None
     i = text.find("{")
@@ -115,14 +95,12 @@ def extract_last_json_object(text: str) -> dict[str, Any]:
             end = i + 1
         i = text.find("{", end)
     if last is None:
-        raise NoJsonFound("no parseable top-level JSON object in model output")
+        raise GroundingError("no parseable top-level JSON object in model output")
     return last
 
 
 def parse_annotation_payload(
-    payload: Any,
-    k: int,
-    example_id: str = "",
+    payload: Any, k: int
 ) -> tuple[list[RawAnnotation], GroundingReport]:
     """Validate the ``{"annotations": [...]}`` payload into RawAnnotations.
 
@@ -134,18 +112,17 @@ def parse_annotation_payload(
     """
     report = GroundingReport()
     if not isinstance(payload, dict):
-        raise MissingAnnotationsKey(f"payload is {type(payload).__name__}, not an object")
+        raise GroundingError(f"payload is {type(payload).__name__}, not an object")
     if "annotations" not in payload:
-        raise MissingAnnotationsKey('payload has no "annotations" key')
+        raise GroundingError('payload has no "annotations" key')
     items = payload["annotations"]
     if not isinstance(items, list):
-        raise NotAList(f'"annotations" is {type(items).__name__}, not a list')
+        raise GroundingError(f'"annotations" is {type(items).__name__}, not a list')
 
     raws: list[RawAnnotation] = []
     for item in items:
         if not isinstance(item, dict):
             report.dropped_malformed += 1
-            report.note(example_id, "", NOTE_MALFORMED)
             continue
         surface = item.get("text")
         category = item.get("type", item.get("annotation_type"))
@@ -158,11 +135,9 @@ def parse_annotation_payload(
             or not isinstance(category, int)
         ):
             report.dropped_malformed += 1
-            report.note(example_id, str(surface or ""), NOTE_MALFORMED)
             continue
         if not 0 <= category < k:
             report.dropped_bad_category += 1
-            report.note(example_id, surface, NOTE_BAD_CATEGORY)
             continue
         raws.append(RawAnnotation(reason=reason, text=surface, type=category))
     return raws, report
@@ -179,9 +154,7 @@ def _find_case_insensitive(text: str, surface: str) -> int:
 
 
 def ground_annotations(
-    raws: list[RawAnnotation],
-    text: str,
-    example_id: str = "",
+    raws: list[RawAnnotation], text: str
 ) -> tuple[list[SpanAnnotation], GroundingReport]:
     """Locate each emitted surface in ``text`` by exact string matching.
 
@@ -203,10 +176,9 @@ def ground_annotations(
             idx = _find_case_insensitive(text, raw.text)
         if idx < 0:
             report.dropped_unmatched += 1
-            report.note(example_id, raw.text, NOTE_UNMATCHED)
             continue
         if not exact:
-            report.note(example_id, raw.text, NOTE_CASE_FALLBACK)
+            report.case_fallbacks += 1
         spans.append(
             SpanAnnotation(
                 start=idx,

@@ -40,26 +40,6 @@ class ParseError(IngestError):
         self.line = line
 
 
-class DuplicateId(IngestError):
-    pass
-
-
-class DanglingCategory(IngestError):
-    pass
-
-
-class DanglingExample(IngestError):
-    pass
-
-
-class UnknownTechnique(IngestError):
-    pass
-
-
-class OffsetOutOfBounds(IngestError):
-    pass
-
-
 @dataclass(frozen=True)
 class CategoryFile:
     """Parsed category inventory: the task it belongs to, its overlap
@@ -230,9 +210,10 @@ def load_dataset(corpus_path: str | Path, category_path: str | Path) -> Dataset:
             )
         example_id = row["id"]
         if example_id in seen:
-            raise DuplicateId(
-                f"{corpus_path}:{lineno}: duplicate id {example_id!r} "
-                f"(first seen on line {seen[example_id]})"
+            raise ParseError(
+                corpus_path,
+                lineno,
+                f"duplicate id {example_id!r} (first seen on line {seen[example_id]})",
             )
         seen[example_id] = lineno
         try:
@@ -323,11 +304,9 @@ def load_campaign(path: str | Path, dataset: Dataset) -> Campaign:
     ):
         example_id = row["example_id"]
         if example_id in sets:
-            raise DuplicateId(f"{path}:{lineno}: duplicate example {example_id!r}")
+            raise ParseError(path, lineno, f"duplicate example {example_id!r}")
         if example_id not in dataset:
-            raise DanglingExample(
-                f"{path}:{lineno}: unknown example {example_id!r}"
-            )
+            raise ParseError(path, lineno, f"unknown example {example_id!r}")
         if annotator_id is None:
             annotator_id = row["annotator_id"]
         elif row["annotator_id"] != annotator_id:
@@ -344,14 +323,15 @@ def load_campaign(path: str | Path, dataset: Dataset) -> Campaign:
             except IngestError as exc:
                 raise ParseError(path, lineno, str(exc)) from exc
             if ann.end > len(text):
-                raise OffsetOutOfBounds(
-                    f"{path}:{lineno}: span [{ann.start}, {ann.end}) exceeds "
-                    f"text length {len(text)} of example {example_id!r}"
+                raise ParseError(
+                    path,
+                    lineno,
+                    f"span [{ann.start}, {ann.end}) exceeds text length {len(text)} "
+                    f"of example {example_id!r}",
                 )
             if ann.category >= dataset.k:
-                raise DanglingCategory(
-                    f"{path}:{lineno}: category {ann.category} out of range "
-                    f"for k={dataset.k}"
+                raise ParseError(
+                    path, lineno, f"category {ann.category} out of range for k={dataset.k}"
                 )
             annotations.append(ann)
         annotations.sort(key=lambda a: a.sort_key)
@@ -369,12 +349,7 @@ def load_campaign(path: str | Path, dataset: Dataset) -> Campaign:
         sets[example_id] = AnnotationSet(example_id, tuple(annotations))
         if row.get("failed"):
             traces[example_id] = Trace(example_id=example_id, failed=True)
-    return Campaign(
-        annotator_id=annotator_id or path.stem,
-        dataset_ref=str(path),
-        sets=sets,
-        traces=traces,
-    )
+    return Campaign(annotator_id=annotator_id or path.stem, sets=sets, traces=traces)
 
 
 def import_offset_tsv(
@@ -389,9 +364,12 @@ def import_offset_tsv(
     """
     path = Path(path)
     spans: dict[str, list[SpanAnnotation]] = {ex.id: [] for ex in dataset.examples}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise ParseError(path, lineno, f"not UTF-8 at byte {exc.start}") from exc
             if not line.strip():
                 continue
             fields = line.split("\t")
@@ -399,20 +377,19 @@ def import_offset_tsv(
                 raise ParseError(path, lineno, f"expected 4 fields, got {len(fields)}")
             article_id, technique, start_str, end_str = fields
             if article_id not in dataset:
-                raise DanglingExample(f"{path}:{lineno}: unknown article {article_id!r}")
+                raise ParseError(path, lineno, f"unknown article {article_id!r}")
             try:
                 category = dataset.categories.by_name(technique)
             except ModelError as exc:
-                raise UnknownTechnique(f"{path}:{lineno}: {exc}") from exc
+                raise ParseError(path, lineno, str(exc)) from exc
             try:
                 start, end = int(start_str), int(end_str)
             except ValueError as exc:
                 raise ParseError(path, lineno, f"non-integer offsets: {exc}") from exc
             text = dataset[article_id].text
             if not (0 <= start < end <= len(text)):
-                raise OffsetOutOfBounds(
-                    f"{path}:{lineno}: span [{start}, {end}) invalid for text "
-                    f"of length {len(text)}"
+                raise ParseError(
+                    path, lineno, f"span [{start}, {end}) invalid for text of length {len(text)}"
                 )
             spans[article_id].append(SpanAnnotation(start, end, category.index))
     sets = {
@@ -421,6 +398,4 @@ def import_offset_tsv(
         )
         for example_id, items in spans.items()
     }
-    return Campaign(
-        annotator_id=annotator_id, dataset_ref=str(path), sets=sets
-    )
+    return Campaign(annotator_id=annotator_id, sets=sets)

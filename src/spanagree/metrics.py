@@ -28,24 +28,8 @@ class MetricError(ValueError):
     pass
 
 
-class EmptyCandidate(MetricError):
-    """Precision is undefined for an empty candidate set."""
-
-
-class EmptyReference(MetricError):
-    """Recall is undefined for an empty reference set."""
-
-
-class NotApplicable(MetricError):
-    """The empty-agreement score only applies when a side is empty."""
-
-
 class DegenerateVariance(MetricError):
     """Correlation is undefined when either count vector is constant."""
-
-
-class ExampleIdMismatch(MetricError):
-    """The two campaigns do not cover the same example ids."""
 
 
 def char_overlap(a: SpanAnnotation, b: SpanAnnotation) -> int:
@@ -71,7 +55,7 @@ def example_precision(
     cand = tuple(candidate)
     ref = tuple(reference)
     if not cand:
-        raise EmptyCandidate("precision undefined for an empty candidate set")
+        raise MetricError("precision undefined for an empty candidate set")
     total = 0.0
     for a in cand:
         credit = 0.0
@@ -90,7 +74,7 @@ def example_recall(
     """Coverage of the reference spans: precision with roles swapped."""
     ref = tuple(reference)
     if not ref:
-        raise EmptyReference("recall undefined for an empty reference set")
+        raise MetricError("recall undefined for an empty reference set")
     return example_precision(ref, candidate, mode)
 
 
@@ -145,7 +129,7 @@ def s_empty(
     cand = tuple(candidate)
     ref = tuple(reference)
     if cand and ref:
-        raise NotApplicable("both sets are non-empty; use the overlap metrics")
+        raise MetricError("both sets are non-empty; use the overlap metrics")
     if not cand and not ref:
         return 1.0
     return 1.0 / (1.0 + (len(cand) or len(ref)))
@@ -217,7 +201,7 @@ def aggregate(
     cand_ids = set(candidate.sets)
     if ref_ids != cand_ids:
         missing = sorted(ref_ids ^ cand_ids)[:5]
-        raise ExampleIdMismatch(
+        raise MetricError(
             f"campaigns cover different examples (first differences: {missing})"
         )
     failed = reference.failed_ids() | candidate.failed_ids()

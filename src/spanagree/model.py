@@ -15,11 +15,8 @@ TASKS = ("d2t", "mt", "propaganda", "generic")
 
 
 class ModelError(ValueError):
-    """Invalid construction of a core domain object."""
-
-
-class SpanOutOfBounds(ModelError):
-    """A span does not fit inside the text it annotates."""
+    """Invalid construction of a core domain object, or spans that gamma
+    cannot score."""
 
 
 @dataclass(frozen=True)
@@ -143,12 +140,12 @@ def normalize_annotation_set(
     overlap rule. Duplicates share (start, end, category); the first in
     sort order survives. Under ``no_overlap``, a span overlapping any
     earlier kept span is dropped. Surviving annotations are never
-    modified. Raises SpanOutOfBounds for spans outside the text.
+    modified. Raises ModelError for spans outside the text.
     """
     items = sorted(raw, key=lambda a: a.sort_key)
     for a in items:
         if a.end > len(text):
-            raise SpanOutOfBounds(
+            raise ModelError(
                 f"span [{a.start}, {a.end}) of category "
                 f"{a.category} exceeds text length {len(text)}"
             )
@@ -256,7 +253,6 @@ class Campaign:
     """
 
     annotator_id: str
-    dataset_ref: str
     sets: Mapping[str, AnnotationSet]
     traces: Mapping[str, Trace] = field(default_factory=dict)
 

@@ -57,7 +57,7 @@ def as_set(example_id: str, spans: list[SpanAnnotation]) -> AnnotationSet:
 
 
 def make_campaign(annotator_id: str, sets: dict[str, AnnotationSet]) -> Campaign:
-    return Campaign(annotator_id=annotator_id, dataset_ref="test", sets=sets)
+    return Campaign(annotator_id=annotator_id, sets=sets)
 
 
 def write_bundled_categories(directory: Path, task: str = "d2t") -> Path:

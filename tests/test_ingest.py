@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spanagree.ingest import (
-    DanglingCategory,
-    DanglingExample,
-    DuplicateId,
     IngestError,
-    OffsetOutOfBounds,
     ParseError,
-    UnknownTechnique,
     bundled_category_file,
     check_object,
     export_campaign,
@@ -123,7 +118,7 @@ class TestLoadDataset:
             {"id": "a", "text": "one"},
             {"id": "a", "text": "two"},
         ])
-        with pytest.raises(DuplicateId, match=":2"):
+        with pytest.raises(ParseError, match=r":2: duplicate id 'a' \(first seen on line 1\)"):
             load_dataset(corpus, categories)
 
     def test_no_overlap_flag_propagates_from_mt(self, tmp_path):
@@ -179,7 +174,6 @@ class TestCampaignRoundTrip:
     def test_lossless_round_trip(self, tmp_path, small_dataset):
         campaign = Campaign(
             annotator_id="ann1",
-            dataset_ref="x",
             sets={
                 "a": as_set("a", [
                     S(0, 5, 0, reason="why", surface="alpha"),
@@ -197,7 +191,7 @@ class TestCampaignRoundTrip:
         assert loaded.failed_ids() == {"b"}
 
     def test_empty_set_survives_as_empty_not_absent(self, tmp_path, small_dataset):
-        campaign = Campaign("ann", "x", {"a": as_set("a", [])})
+        campaign = Campaign("ann", {"a": as_set("a", [])})
         path = tmp_path / "camp.jsonl"
         export_campaign(campaign, path)
         loaded = load_campaign(path, small_dataset)
@@ -209,7 +203,7 @@ class TestCampaignRoundTrip:
         path.write_text(json.dumps({
             "example_id": "zzz", "annotator_id": "x", "annotations": [],
         }) + "\n")
-        with pytest.raises(DanglingExample):
+        with pytest.raises(ParseError, match=":1: unknown example 'zzz'"):
             load_campaign(path, small_dataset)
 
     @staticmethod
@@ -239,7 +233,7 @@ class TestCampaignRoundTrip:
             "example_id": "a", "annotator_id": "x",
             "annotations": [{"start": 0, "end": 3, "type": 6}],
         }) + "\n")
-        with pytest.raises(DanglingCategory):
+        with pytest.raises(ParseError, match=":1: category 6 out of range for k=6"):
             load_campaign(path, small_dataset)
 
     def test_out_of_bounds_span_rejected(self, tmp_path, small_dataset):
@@ -248,7 +242,7 @@ class TestCampaignRoundTrip:
             "example_id": "a", "annotator_id": "x",
             "annotations": [{"start": 0, "end": 9999, "type": 0}],
         }) + "\n")
-        with pytest.raises(OffsetOutOfBounds):
+        with pytest.raises(ParseError, match=r":1: span \[0, 9999\) exceeds text length"):
             load_campaign(path, small_dataset)
 
     def test_overlap_rejected_for_no_overlap_task(self, tmp_path):
@@ -307,7 +301,7 @@ class TestCampaignRoundTrip:
             # drop exact duplicates; files are strict about distinctness
             unique = {(a.start, a.end, a.category): a for a in spans}
             sets[eid] = as_set(eid, list(unique.values()))
-        campaign = Campaign("fuzz", "x", sets)
+        campaign = Campaign("fuzz", sets)
         path = tmp / "camp.jsonl"
         export_campaign(campaign, path)
         loaded = load_campaign(path, dataset)
@@ -351,20 +345,34 @@ class TestImportOffsetTsv:
     def test_unknown_technique(self, tmp_path, propaganda_dataset):
         path = tmp_path / "gold.tsv"
         path.write_text("art1\tGish Gallop\t0\t5\n", encoding="utf-8")
-        with pytest.raises(UnknownTechnique):
+        with pytest.raises(ParseError, match=":1: unknown category name: 'Gish Gallop'"):
             import_offset_tsv(path, propaganda_dataset)
 
     def test_end_not_after_start(self, tmp_path, propaganda_dataset):
         path = tmp_path / "gold.tsv"
         path.write_text("art1\tDoubt\t5\t5\n", encoding="utf-8")
-        with pytest.raises(OffsetOutOfBounds):
+        with pytest.raises(ParseError, match=r":1: span \[5, 5\) invalid for text of length 40"):
             import_offset_tsv(path, propaganda_dataset)
 
     def test_unknown_article(self, tmp_path, propaganda_dataset):
         path = tmp_path / "gold.tsv"
         path.write_text("art9\tDoubt\t0\t5\n", encoding="utf-8")
-        with pytest.raises(DanglingExample):
+        with pytest.raises(ParseError, match=":1: unknown article 'art9'"):
             import_offset_tsv(path, propaganda_dataset)
+
+    def test_row_not_utf8_names_file_line_and_byte(self, tmp_path, propaganda_dataset):
+        path = tmp_path / "gold.tsv"
+        path.write_bytes(b"art1\tDoubt\t0\t5\nart2\tDou\xff\xfebt\t0\t5\n")
+        with pytest.raises(ParseError, match=":2: not UTF-8 at byte 8$") as info:
+            import_offset_tsv(path, propaganda_dataset)
+        assert str(info.value).startswith(str(path))
+
+    def test_crlf_rows_read_like_lf_rows(self, tmp_path, propaganda_dataset):
+        path = tmp_path / "gold.tsv"
+        path.write_bytes(b"art1\tDoubt\t0\t5\r\n\r\nart2\tRepetition\t3\t4\r\n")
+        campaign = import_offset_tsv(path, propaganda_dataset)
+        assert [(a.start, a.end) for a in campaign.sets["art2"]] == [(3, 4)]
+        assert len(campaign.sets["art1"]) == 1
 
     def test_stats_of_import_match_independent_recount(self, tmp_path, propaganda_dataset):
         from spanagree.metrics import annotation_stats

@@ -12,7 +12,6 @@ from spanagree.model import (
     Example,
     ModelError,
     SpanAnnotation,
-    SpanOutOfBounds,
     normalize_annotation_set,
 )
 
@@ -89,7 +88,7 @@ class TestNormalize:
         assert len(aset) == 2 and not dropped
 
     def test_out_of_bounds_rejected_with_span_identified(self):
-        with pytest.raises(SpanOutOfBounds, match=r"\[2, 12\)"):
+        with pytest.raises(ModelError, match=r"span \[2, 12\) of category 0 exceeds text"):
             normalize_annotation_set([S(2, 12, 0)], "x" * 10)
 
     @given(
@@ -148,10 +147,10 @@ class TestDatasetAndCampaign:
 
     def test_campaign_key_must_match_set(self):
         with pytest.raises(ModelError):
-            Campaign("ann", "ds", {"a": AnnotationSet("b")})
+            Campaign("ann", {"a": AnnotationSet("b")})
 
     def test_absent_vs_empty_sets_are_distinct(self):
-        campaign = Campaign("ann", "ds", {"a": AnnotationSet("a")})
+        campaign = Campaign("ann", {"a": AnnotationSet("a")})
         assert "a" in campaign.sets
         assert "b" not in campaign.sets
 
@@ -160,7 +159,6 @@ class TestDatasetAndCampaign:
 
         campaign = Campaign(
             "ann",
-            "ds",
             {"a": AnnotationSet("a"), "b": AnnotationSet("b")},
             traces={"a": Trace(example_id="a", failed=True)},
         )

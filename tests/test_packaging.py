@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -59,3 +61,38 @@ def test_every_public_name_resolves(package):
     module = importlib.import_module(package)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{package}.__all__ names what it does not define: {missing}"
+
+
+def _defined_exception_classes() -> list[type]:
+    """Every exception class defined in a module of the spanagree package."""
+    classes = []
+    for info in pkgutil.walk_packages(spanagree.__path__, "spanagree."):
+        module = importlib.import_module(info.name)
+        classes.extend(
+            value
+            for value in vars(module).values()
+            if isinstance(value, type)
+            and issubclass(value, BaseException)
+            and value.__module__ == info.name
+        )
+    return classes
+
+
+def test_every_exception_class_leaves_through_an_exit_code_or_is_absorbed():
+    from spanagree.annotator import MissingApiKey, ProviderError, TemplateError
+    from spanagree.cli import ConfigError
+    from spanagree.grounding import GroundingError
+    from spanagree.ingest import IngestError
+    from spanagree.metrics import MetricError
+    from spanagree.model import ModelError
+
+    # the types cli.main turns into exit code 2 or 3
+    mapped = (ConfigError, IngestError, MetricError, ModelError, TemplateError,
+              MissingApiKey, OSError)
+    # annotate_example retries on the first two; every decode_json caller
+    # converts the third
+    absorbed = (ProviderError, GroundingError, json.JSONDecodeError)
+    classes = _defined_exception_classes()
+    assert GroundingError in classes and ConfigError in classes
+    stray = [cls.__qualname__ for cls in classes if not issubclass(cls, mapped + absorbed)]
+    assert not stray, f"exception classes outside cli.main's exit codes: {stray}"

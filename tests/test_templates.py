@@ -6,7 +6,6 @@ import pytest
 
 from spanagree.annotator import (
     FewshotExample,
-    MissingField,
     PromptVariant,
     TemplateError,
     build_annotation_schema,
@@ -156,7 +155,7 @@ class TestVariants:
 class TestRendering:
     def test_missing_source_raises(self, d2t):
         example = Example(id="e", text="no source here", task="d2t")
-        with pytest.raises(MissingField):
+        with pytest.raises(TemplateError, match="example 'e' has no source but the d2t prompt"):
             render_prompt(example, d2t.categories, d2t.guidelines)
 
     def test_placeholder_in_example_text_is_not_substituted(self, d2t):
