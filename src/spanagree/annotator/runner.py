@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -51,11 +52,6 @@ from .templates import (
 )
 
 logger = logging.getLogger(__name__)
-
-# Prompts rendered per worker in one batch of annotate_dataset: the
-# batch's requests are collected before the next batch is rendered.
-_PROMPTS_PER_WORKER = 64
-
 
 class SchemaMode(str, Enum):
     CONSTRAINED = "constrained"
@@ -327,39 +323,32 @@ def annotate_dataset(
 ) -> Campaign:
     """Annotate every example, reusing cached successes.
 
-    Requests run under config.concurrency_limit; the resulting campaign
-    is assembled in example-id order, so its content is independent of
-    completion order. Transport-dead examples are flagged failed rather
-    than aborting the run.
+    config.concurrency_limit workers take the examples in id order, one
+    at a time; the resulting campaign is assembled in example-id order,
+    so its content is independent of completion order. Transport-dead
+    examples are flagged failed rather than aborting the run. Any other
+    error, or a Ctrl-C, stops the run once the examples in flight finish.
     """
     # Imported here because evaluate imports this module too and starts no pool.
-    from concurrent.futures import ThreadPoolExecutor, wait
+    from concurrent.futures import ThreadPoolExecutor
 
     cache = TraceCache(cache_path) if cache_path is not None else None
-
-    # The worker writes each record as its example finishes, so a kill
-    # loses only the examples still running, not those that finished
-    # behind a slow one. With one worker the records keep example order.
-    def annotate_and_cache(
-        example: Example, key: str, prompt: str
-    ) -> tuple[AnnotationSet, Trace]:
-        aset, trace = annotate_example(example, dataset, config, adapter, prompt)
-        if cache is not None and not trace.failed:
-            cache.put(key, trace_record(trace, aset))
-        return aset, trace
-
+    examples = sorted(dataset.examples, key=lambda e: e.id)
+    queue = deque(examples)
     results: dict[str, tuple[AnnotationSet, Trace]] = {}
 
-    # Batches bound the rendered prompts held at once, so memory does not
-    # grow with the number of pending examples. Rendering a batch before
-    # submitting it keeps the main thread off the interpreter lock while
-    # the workers run.
-    examples = sorted(dataset.examples, key=lambda e: e.id)
-    batch = _PROMPTS_PER_WORKER * config.concurrency_limit
-    with ThreadPoolExecutor(max_workers=config.concurrency_limit) as pool:
-        for start in range(0, len(examples), batch):
-            pending: list[tuple[Example, str, str]] = []
-            for example in examples[start : start + batch]:
+    # Each worker takes the next example and finishes it, writing its
+    # record, before it takes another, so a kill loses only the examples
+    # in flight. With one worker the records keep example order. A worker
+    # that raises empties the queue, so the others stop after their
+    # current example.
+    def work() -> None:
+        try:
+            while True:
+                try:
+                    example = queue.popleft()
+                except IndexError:
+                    return
                 prompt = render_prompt(
                     example, dataset.categories, dataset.guidelines, config.variant,
                     config.fewshot_examples,
@@ -369,19 +358,24 @@ def annotate_dataset(
                 # Caches written before failures were left out hold failed records.
                 if cached is not None and not cached.get("failed"):
                     results[example.id] = _set_from_record(example.id, cached, cache.path)
-                else:
-                    pending.append((example, key, prompt))
-            futures = [
-                pool.submit(annotate_and_cache, example, key, prompt)
-                for example, key, prompt in pending
-            ]
-            # Sleeping until the whole batch is done keeps this thread from
-            # waking, and taking the interpreter lock from the workers, each
-            # time a worker releases it to write a record.
-            wait(futures)
-            for (example, _, _), future in zip(pending, futures):
-                results[example.id] = future.result()
+                    continue
+                aset, trace = annotate_example(example, dataset, config, adapter, prompt)
+                if cache is not None and not trace.failed:
+                    cache.put(key, trace_record(trace, aset))
+                results[example.id] = aset, trace
+        except BaseException:
+            queue.clear()
+            raise
 
-    sets = {example_id: aset for example_id, (aset, _) in results.items()}
-    traces = {example_id: trace for example_id, (_, trace) in results.items()}
+    with ThreadPoolExecutor(max_workers=config.concurrency_limit) as pool:
+        try:
+            workers = [pool.submit(work) for _ in range(config.concurrency_limit)]
+            for worker in workers:
+                worker.result()
+        finally:
+            # After an error or a Ctrl-C here, only the examples in flight finish.
+            queue.clear()
+
+    sets = {e.id: results[e.id][0] for e in examples}
+    traces = {e.id: results[e.id][1] for e in examples}
     return Campaign(annotator_id=config.resolved_annotator_id, sets=sets, traces=traces)

@@ -9,6 +9,7 @@ dropped and reported; wrong offsets are worse than missing spans.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Any
 
@@ -16,6 +17,8 @@ from .model import SpanAnnotation
 
 _OPEN, _CLOSE = "<think>", "</think>"
 _DECODER = json.JSONDecoder()
+# A "{" starts an object only if '"' or "}" follows it after JSON whitespace.
+_OBJECT_START = re.compile(r'\{[ \t\n\r]*["}]')
 
 
 class GroundingError(ValueError):
@@ -81,19 +84,24 @@ def extract_last_json_object(text: str) -> dict[str, Any]:
     """Return the last substring of ``text`` that parses as a complete
     top-level JSON object.
 
-    Each ``{`` is tried with the standard decoder; a success resumes the
-    search after the object, a failure (including nesting too deep for
-    the decoder) at the next ``{``, so the interior of an invalid
-    candidate is still searched. Raises GroundingError if nothing parses.
+    Each ``{`` that can start an object is tried with the standard
+    decoder on the rest of the reply; a success resumes the search after
+    the object, a failure (including nesting too deep for the decoder) at
+    the next ``{``, so the interior of an invalid candidate is still
+    searched. Decoding a slice keeps a failure's line and column count
+    within the slice, but each attempt still copies the rest of the
+    reply. Raises GroundingError if nothing parses.
     """
     last = None
-    i = text.find("{")
-    while i >= 0:
+    match = _OBJECT_START.search(text)
+    while match:
+        i = match.start()
         try:
-            last, end = _DECODER.raw_decode(text, i)
+            last, end = _DECODER.raw_decode(text[i:])
+            end += i
         except (json.JSONDecodeError, RecursionError):
             end = i + 1
-        i = text.find("{", end)
+        match = _OBJECT_START.search(text, end)
     if last is None:
         raise GroundingError("no parseable top-level JSON object in model output")
     return last

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +29,7 @@ from spanagree.annotator.runner import CacheError, TraceCache
 from spanagree.ingest import load_dataset
 from spanagree.model import AnnotationSet, Dataset, Trace
 
-from conftest import write_bundled_categories
+from conftest import make_dataset, write_bundled_categories
 
 
 def reply(items) -> str:
@@ -267,9 +271,8 @@ class TestAnnotateDataset:
         annotate_dataset(dataset, config(), self.full_mock(), tmp_path / "cache.jsonl")
         assert sorted(calls) == ["a", "b", "c"]
 
-    def test_duplicate_prompts_each_get_their_own_reply(self, tmp_path, monkeypatch):
-        # batches of one finish d1, and cache it, before d5 is looked up
-        monkeypatch.setattr(runner, "_PROMPTS_PER_WORKER", 1)
+    def test_duplicate_prompts_each_get_their_own_reply(self, tmp_path):
+        # one worker finishes d1, and caches it, before d5 is looked up
         categories = write_bundled_categories(tmp_path, "d2t")
         corpus = tmp_path / "corpus.jsonl"
         ids = ["d1", "d2", "d3", "d4", "d5"]
@@ -341,6 +344,89 @@ class TestAnnotateDataset:
         campaign = annotate_dataset(dataset, config(concurrency_limit=2), adapter, cache)
         assert seen == [True]
         assert sorted(campaign.sets) == ["a", "b", "c"]
+
+    def test_many_workers_take_each_example_once(self, tmp_path):
+        dataset = make_dataset({f"e{i:03d}": "the cat sat" for i in range(200)})
+        adapter = MockAdapter({
+            e.id: [reply([{"reason": "", "text": "cat", "type": 0}])] for e in dataset.examples
+        })
+        cache = tmp_path / "cache.jsonl"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.perf_counter()
+            campaign = annotate_dataset(dataset, config(concurrency_limit=8), adapter, cache)
+            assert time.perf_counter() - started < 30.0
+        finally:
+            sys.setswitchinterval(interval)
+        assert adapter.calls == 200
+        assert sorted(campaign.sets) == [e.id for e in dataset.examples]
+        assert all(len(aset) == 1 for aset in campaign.sets.values())
+        cached = [json.loads(line)["example_id"] for line in cache.read_text().splitlines()]
+        assert sorted(cached) == [e.id for e in dataset.examples]
+
+    def test_error_stops_after_requests_in_flight(self, tmp_path):
+        dataset = make_dataset({f"e{i:02d}": "the cat sat" for i in range(12)})
+
+        class FailsThirdRequest(MockAdapter):
+            requests = 0
+
+            def complete(self, prompt, decoding, schema=None, request_id=""):
+                with self._lock:
+                    self.requests += 1
+                    number = self.requests
+                if number == 3:
+                    raise OSError("disk full")
+                time.sleep(0.01)
+                return super().complete(prompt, decoding, schema, request_id)
+
+        adapter = FailsThirdRequest({e.id: [reply([])] for e in dataset.examples})
+        with pytest.raises(OSError, match="disk full"):
+            annotate_dataset(
+                dataset, config(concurrency_limit=2), adapter, tmp_path / "cache.jsonl"
+            )
+        # the failing request and at most one in flight on the other worker
+        assert adapter.requests <= 4
+
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_ctrl_c_stops_after_requests_in_flight(self, concurrency, tmp_path):
+        script = f"""
+import os, signal, time
+from conftest import make_dataset
+from spanagree.annotator import AnnotatorConfig, MockAdapter, annotate_dataset
+
+class SignalsOnThirdRequest(MockAdapter):
+    requests = 0
+
+    def complete(self, prompt, decoding, schema=None, request_id=""):
+        with self._lock:
+            self.requests += 1
+            number = self.requests
+        if number == 3:
+            os.kill(os.getpid(), signal.SIGINT)
+        time.sleep(0.05)
+        return super().complete(prompt, decoding, schema, request_id)
+
+dataset = make_dataset({{f"e{{i:02d}}": "the cat sat" for i in range(20)}})
+adapter = SignalsOnThirdRequest({{e.id: ['{{"annotations": []}}'] for e in dataset.examples}})
+config = AnnotatorConfig(model_id="m", concurrency_limit={concurrency})
+try:
+    annotate_dataset(dataset, config, adapter, {str(tmp_path / "cache.jsonl")!r})
+except KeyboardInterrupt:
+    print(adapter.requests)
+    raise
+"""
+        tests = Path(__file__).parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(tests.parent / "src"), str(tests)]
+        )}
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert "KeyboardInterrupt" in run.stderr
+        # the third request sent the signal
+        assert int(run.stdout) - 3 <= concurrency
+        # the records of the finished examples are in the cache for a resume
+        assert len((tmp_path / "cache.jsonl").read_text().splitlines()) >= 2
 
     def test_works_without_cache(self, dataset):
         campaign = annotate_dataset(dataset, config(), self.full_mock())

@@ -214,6 +214,27 @@ class TestExitCodes:
         assert main(["annotate", "--config", str(path)]) == 2
         assert "UNSET_KEY_VAR" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("provider, message", [
+        (DELETE, "error: config has no annotator section"),
+        ({"kind": "ftp"}, "run.json: unknown provider kind 'ftp'"),
+        ({"kind": "mock"}, "error: mock provider needs a replies file (--mock PATH)"),
+    ], ids=["no-annotator-section", "unknown-provider-kind", "mock-without-replies"])
+    def test_annotate_without_a_usable_provider_exits_2(
+        self, mock_config, capsys, provider, message
+    ):
+        path, out = mock_config
+        config = json.loads(path.read_text())
+        if provider is DELETE:
+            del config["annotator"]
+        else:
+            config["annotator"]["provider"] = provider
+        path.write_text(json.dumps(config))
+        assert main(["annotate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"{message}\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_base_url_without_http_scheme_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SPANAGREE_TEST_KEY", "sk-unit")
         categories = write_bundled_categories(tmp_path, "d2t")

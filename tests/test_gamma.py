@@ -437,6 +437,14 @@ class TestGammaScore:
         assert gamma_score([S(0, 10, 0)], [], 100) is None
         assert gamma_score([], [], 100) is None
 
+    def test_zero_expected_disorder_skips(self, caplog):
+        # the one resample that seed 0 draws puts both spans on the same
+        # character: expected disorder 0, observed disorder 1
+        cfg = GammaConfig(n_samples=1, seed=0)
+        with caplog.at_level("WARNING", logger="spanagree.gamma.alignment"):
+            assert gamma_score([(0, 1, 0)], [(1, 2, 0)], 2, cfg, "x") is None
+        assert "zero expected disorder for example 'x'; skipping gamma" in caplog.text
+
     def test_different_sets_below_one(self):
         value = gamma_score([S(0, 10, 0)], [S(5, 15, 1)], 100)
         assert value is not None and value < 1.0

@@ -191,8 +191,9 @@ class TestExtractLastJson:
 
 class TestHostileReplies:
     """Truncated or hostile replies must each finish well inside a
-    worker's budget. A reply packed with bare ``{`` still takes time
-    quadratic in its length."""
+    worker's budget. A ``{`` that cannot start an object is skipped
+    without a decode; each attempted one still copies the rest of the
+    reply."""
 
     @pytest.mark.parametrize("text", [
         '{"a": ' * 8_000,
@@ -203,6 +204,16 @@ class TestHostileReplies:
         with pytest.raises(GroundingError, match="no parseable top-level JSON object"):
             extract_last_json_object(text)
         assert time.perf_counter() - started < 5.0
+
+    @pytest.mark.parametrize("text", [
+        "{" * 128_000,
+        '{"' * 64_000,
+    ], ids=["128k-bare-braces", "128k-brace-quote-pairs"])
+    def test_packed_braces_finish_fast(self, text):
+        started = time.perf_counter()
+        with pytest.raises(GroundingError, match="no parseable top-level JSON object"):
+            extract_last_json_object(text)
+        assert time.perf_counter() - started < 2.0
 
     def test_unclosed_think_tags_finish_fast(self):
         raw = "<think>" * 16_000  # 112k chars

@@ -224,6 +224,23 @@ class TestAggregate:
         assert report.pearson == pytest.approx(1.0, abs=1e-12)
         assert report.f1_delta == 0.0
 
+    def test_zero_expected_disorder_counts_as_skipped_gamma(self):
+        dataset = make_dataset({"x": "ab", "y": "abcdef"})
+        ref = make_campaign("r", {
+            "x": as_set("x", [SpanAnnotation(0, 1, 0)]),
+            "y": as_set("y", [SpanAnnotation(0, 3, 1)]),
+        })
+        cand = make_campaign("c", {
+            "x": as_set("x", [SpanAnnotation(1, 2, 0)]),
+            "y": as_set("y", [SpanAnnotation(0, 3, 1)]),
+        })
+        # x has zero expected disorder (test_gamma.py, TestGammaScore)
+        report = aggregate(dataset, ref, cand, GammaConfig(n_samples=1, seed=0))
+        assert report.n_scored == 2
+        assert report.n_gamma_scored == 1 and report.n_gamma_skipped == 1
+        # only y, which agrees exactly, enters the mean
+        assert report.gamma == 1.0
+
     def test_desk_fixture_hand_computed(self):
         dataset, ref, cand = _desk_fixture()
         report = aggregate(dataset, ref, cand, GammaConfig(n_samples=5, seed=1))
