@@ -3,7 +3,7 @@
 All behaviour is driven by a single JSON config file; flags only
 override individual keys. Exit codes: 0 success (even with per-example
 annotation failures), 2 for usage/config/validation problems, 3 for I/O
-problems.
+problems, 130 when interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .report import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_INTERRUPTED = 130
 
 
 class ConfigError(ValueError):
@@ -289,7 +290,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_run_config(args.config), args)
+    config = load_run_config(args.config)
     dataset = load_dataset(config.corpus, config.categories)
     campaign = _load_named_campaign(config, args.campaign, dataset)
     stats = annotation_stats(campaign)
@@ -306,20 +307,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="run configuration JSON")
-    common.add_argument("--output", default=None, help="override the output directory")
-    common.add_argument("--seed", type=int, default=None, help="override seeds")
-    common.add_argument(
-        "--mock", default=None, help="replay canned provider responses from a JSONL file"
-    )
+    overrides = argparse.ArgumentParser(add_help=False)
+    overrides.add_argument("--output", default=None, help="override the output directory")
+    overrides.add_argument("--seed", type=int, default=None, help="override seeds")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_annotate = sub.add_parser(
-        "annotate", parents=[common], help="collect annotations from a provider"
+        "annotate", parents=[common, overrides], help="collect annotations from a provider"
+    )
+    p_annotate.add_argument(
+        "--mock", default=None, help="replay canned provider responses from a JSONL file"
     )
     p_annotate.set_defaults(func=cmd_annotate)
 
     p_evaluate = sub.add_parser(
-        "evaluate", parents=[common], help="score one campaign against another"
+        "evaluate", parents=[common, overrides], help="score one campaign against another"
     )
     p_evaluate.add_argument("reference", help="reference campaign id from the config")
     p_evaluate.add_argument("candidate", help="candidate campaign id from the config")
@@ -345,6 +347,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -73,30 +73,6 @@ def _build_alignment(
     return Alignment(pairs, tuple(unaligned_left), tuple(unaligned_right), total)
 
 
-def _padded_matrix(pair: list[list[float]], penalty: float) -> list[list[float]]:
-    """Square matrix for the matching: real pairs top-left, one dummy
-    partner per unit at ``penalty``, dummy-dummy free. ``pair`` has at
-    least one row.
-
-    Pair costs above 2 * penalty can never be chosen over leaving both
-    units unaligned, so they are clamped to keep the matrix well
-    conditioned; the optimum is unchanged.
-    """
-    n, m = len(pair), len(pair[0])
-    big = penalty * (n + m) + 1.0
-    clamp = 2.0 * penalty + 1.0
-    mat = []
-    for i, row in enumerate(pair):
-        padded = [min(cost, clamp) for cost in row] + [big] * n
-        padded[m + i] = penalty
-        mat.append(padded)
-    for j in range(m):
-        padded = [big] * m + [0.0] * n
-        padded[j] = penalty
-        mat.append(padded)
-    return mat
-
-
 def _matching(pair: list[list[float]], penalty: float) -> tuple[float, list[tuple[int, int]]]:
     """Optimal partial matching cost and its matched pairs. ``pair`` has
     at least one row.
@@ -105,8 +81,12 @@ def _matching(pair: list[list[float]], penalty: float) -> tuple[float, list[tupl
     units unaligned, so the optimum splits into the connected
     components of those useful pairs: an isolated unit stays unaligned,
     a 1x1 component is matched directly and only larger components are
-    solved. Among cost ties the matching may differ from a solve of the
-    whole padded matrix; the total is summed in that solve's row order.
+    solved. A component of r rows and c columns is solved as a square
+    matrix of side max(r, c) whose useful pairs hold half their saving,
+    ``0.5 * cost - penalty``, and whose other entries are 0 ("no pair");
+    halving keeps the entries finite where ``2 * penalty`` overflows.
+    Among cost ties the matching may differ from a solve of the whole
+    matrix; the total is summed in row order.
     """
     n, m = len(pair), len(pair[0])
     if m == 0:
@@ -138,17 +118,20 @@ def _matching(pair: list[list[float]], penalty: float) -> tuple[float, list[tupl
         if len(nodes) == 2:
             match[rows[0]] = cols[0]
             continue
-        sub = [[pair[i][j] for j in cols] for i in rows]
-        size = len(nodes)
+        size = max(len(rows), len(cols))
         flat = array("d")
-        for padded in _padded_matrix(sub, penalty):
-            flat.extend(padded)
+        for i in rows:
+            row = pair[i]
+            flat.extend([0.5 * row[j] - penalty if row[j] < limit else 0.0 for j in cols])
+            flat.extend([0.0] * (size - len(cols)))
+        flat.extend([0.0] * (size * (size - len(rows))))
         # A 2-D buffer rather than lists: perfbench's traced run reads the
         # solved cells from ``cost.shape``.
         solution, _ = solve_assignment(memoryview(flat).cast("B").cast("d", (size, size)))
-        match.update(
-            (i, cols[solution[k]]) for k, i in enumerate(rows) if solution[k] < len(cols)
-        )
+        for k, i in enumerate(rows):
+            c = solution[k]
+            if c < len(cols) and pair[i][cols[c]] < limit:
+                match[i] = cols[c]
 
     total = 0.0
     for i in range(n):

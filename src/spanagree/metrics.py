@@ -181,7 +181,14 @@ class ScoreReport:
 
 
 def _mean(values: list[float]) -> float | None:
-    return sum(values) / len(values) if values else None
+    """Left-to-right mean. Not ``sum()``, which Python 3.12 made
+    compensated: report.json must hold the same bits on every Python."""
+    if not values:
+        return None
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def aggregate(

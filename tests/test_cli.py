@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import spanagree
+from spanagree import cli
 from spanagree.annotator import MockAdapter
 from spanagree.annotator.runner import cache_key
 from spanagree.cli import ConfigError, _apply_overrides, build_parser, load_run_config, main
@@ -194,6 +195,30 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "delta_empty=1e+308" in err and "gamma is nan" in err
         assert not (out / "report.json").exists()
+
+    def test_ctrl_c_exits_130_without_traceback(self, mock_config, capsys, monkeypatch):
+        path, _ = mock_config
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "annotate_dataset", interrupted)
+        assert main(["annotate", "--config", str(path)]) == 130
+        # one line, no traceback
+        assert capsys.readouterr().err == "interrupted\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "gold", "--seed", "1"],
+        ["stats", "gold", "--output", "x"],
+        ["stats", "gold", "--mock", "x"],
+        ["evaluate", "gold", "gold", "--mock", "x"],
+    ])
+    def test_option_the_command_ignores_exits_2(self, mock_config, capsys, argv):
+        path, _ = mock_config
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--config", str(path), *argv[1:]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_config_file_exits_3(self, tmp_path):
         assert main(["stats", "--config", str(tmp_path / "nope.json"), "g"]) == 3

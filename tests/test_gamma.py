@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -21,7 +22,7 @@ from spanagree.gamma.alignment import _child_rng, _resample
 from spanagree.model import ModelError, SpanAnnotation
 
 from conftest import random_spans
-from test_gamma_reference import ref_pair_cost_matrix
+from test_gamma_reference import ref_padded_matrix, ref_pair_cost_matrix
 
 
 def S(start, end, category=0):
@@ -264,7 +265,7 @@ class TestComponentMatching:
             penalty = cfg.delta_empty
             pair = pair_cost_matrix(units(left), units(right), cfg)
             total, pairs = alignment._matching(pair, penalty)
-            _, full = solver.solve_assignment(np.array(alignment._padded_matrix(pair, penalty)))
+            _, full = solver.solve_assignment(ref_padded_matrix(np.array(pair), penalty))
             assert total == pytest.approx(full, abs=1e-12)
             assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
             unaligned = len(left) + len(right) - 2 * len(pairs)
@@ -291,22 +292,16 @@ class TestComponentMatching:
             pair_cost_matrix(units(left), units(right), CFG), CFG.delta_empty
         )
         assert pairs == [(0, 0), (1, 1)]
-        assert calls == [(4, 4)]
+        assert calls == [(2, 2)]
 
-    def test_solver_gets_square_buffers_of_larger_components_only(self, monkeypatch):
+    def test_solver_gets_square_gain_buffers_of_larger_components_only(self, monkeypatch):
         # perfbench's traced run counts the solved cells from ``cost.shape``.
-        padded_matrix = alignment._padded_matrix
-        padded, seen = [], []
-
-        def padding(sub, penalty):
-            padded.append(padded_matrix(sub, penalty))
-            return padded[-1]
+        seen = []
 
         def recording(cost):
-            seen.append((cost, padded[-1]))
+            seen.append(cost)
             return solver.solve_assignment(cost)
 
-        monkeypatch.setattr(alignment, "_padded_matrix", padding)
         monkeypatch.setattr(alignment, "solve_assignment", recording)
         # one 2x2 component, built here from its rows and columns
         left = [S(0, 10, 0), S(2, 12, 0), S(100, 110, 1)]
@@ -314,8 +309,14 @@ class TestComponentMatching:
         pair = pair_cost_matrix(units(left), units(right), CFG)
         alignment._matching(pair, CFG.delta_empty)
         assert len(seen) == 1
-        component = [[pair[i][j] for j in (1, 2)] for i in (0, 1)]
-        assert seen[0][0].tolist() == padded_matrix(component, CFG.delta_empty)
+        penalty = CFG.delta_empty
+        assert seen[0].tolist() == [[0.5 * pair[i][j] - penalty for j in (1, 2)] for i in (0, 1)]
+
+        # a 1x2 component whose 2 * delta_empty overflows to inf
+        cfg = DissimilarityConfig(delta_empty=1e308)
+        pair = pair_cost_matrix(units([S(0, 10, 0)]), units([S(0, 10, 0), S(1, 11, 0)]), cfg)
+        assert alignment._matching(pair, cfg.delta_empty) == (1e308, [(0, 0)])
+        assert len(seen) == 2
 
         rng = random.Random(43)
         for index in range(200):
@@ -324,15 +325,18 @@ class TestComponentMatching:
             right = random_spans(rng, text_len, rng.randint(1, 8), k=3)
             gamma_score(left, right, text_len, GammaConfig(n_samples=3, seed=index), "c")
             best_alignment(left, right, CFG)
-        assert len(seen) > 1
-        for cost, matrix in seen:
+        assert len(seen) > 2
+        for cost in seen:
             assert isinstance(cost, memoryview)
             assert cost.format == "d"
             k = cost.shape[0]
             assert cost.shape == (k, k)
-            # a 1x1 component would pad to 2x2
-            assert k >= 3
-            assert cost.tolist() == matrix
+            gains = cost.tolist()
+            assert all(math.isfinite(g) and g <= 0.0 for row in gains for g in row)
+            # every unit of a component has a useful pair, a negative entry
+            rows = sum(any(gains[i][j] < 0.0 for j in range(k)) for i in range(k))
+            cols = sum(any(gains[i][j] < 0.0 for i in range(k)) for j in range(k))
+            assert k == max(rows, cols) >= 2
 
     def test_zero_penalty_has_no_useful_pairs(self, monkeypatch):
         calls = self.counted_solves(monkeypatch)

@@ -241,6 +241,16 @@ class TestAggregate:
         # only y, which agrees exactly, enters the mean
         assert report.gamma == 1.0
 
+    def test_means_sum_left_to_right_on_every_python(self):
+        # ten precisions of 0.1 add up to 0.9999999999999999 from the left;
+        # Python 3.12's compensated sum() gives exactly 1.0, so a mean of 0.1
+        texts = {f"e{i}": "x" * 20 for i in range(10)}
+        dataset = make_dataset(texts)
+        ref = make_campaign("ref", {eid: as_set(eid, [S(9, 19, 0)]) for eid in texts})
+        cand = make_campaign("cand", {eid: as_set(eid, [S(0, 10, 0)]) for eid in texts})
+        report = aggregate(dataset, ref, cand, GammaConfig(n_samples=1))
+        assert report.precision_hard == 0.09999999999999999
+
     def test_desk_fixture_hand_computed(self):
         dataset, ref, cand = _desk_fixture()
         report = aggregate(dataset, ref, cand, GammaConfig(n_samples=5, seed=1))
