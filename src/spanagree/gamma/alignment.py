@@ -15,10 +15,10 @@ import logging
 import random
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..model import ModelError, SpanAnnotation
-from .dissimilarity import DissimilarityConfig, Unit, pair_cost_matrix
+from .dissimilarity import DissimilarityConfig, Unit, pair_cost_matrix, pair_costs
 from .solver import solve_assignment
 
 logger = logging.getLogger(__name__)
@@ -73,24 +73,40 @@ def _build_alignment(
     return Alignment(pairs, tuple(unaligned_left), tuple(unaligned_right), total)
 
 
-def _matching(pair: list[list[float]], penalty: float) -> tuple[float, list[tuple[int, int]]]:
-    """Optimal partial matching cost and its matched pairs. ``pair`` has
-    at least one row.
+def _match(
+    n: int, m: int, useful: list[tuple[int, int, float]], penalty: float
+) -> tuple[float, dict[int, int]]:
+    """Optimal partial matching of n left and m right units: its cost and
+    the matched right unit of each matched left unit.
 
-    Only a pair costing less than 2 * penalty can beat leaving both
-    units unaligned, so the optimum splits into the connected
-    components of those useful pairs: an isolated unit stays unaligned,
-    a 1x1 component is matched directly and only larger components are
-    solved. A component of r rows and c columns is solved as a square
-    matrix of side max(r, c) whose useful pairs hold half their saving,
-    ``0.5 * cost - penalty``, and whose other entries are 0 ("no pair");
-    halving keeps the entries finite where ``2 * penalty`` overflows.
-    Among cost ties the matching may differ from a solve of the whole
-    matrix; the total is summed in row order.
+    ``useful`` holds the (i, j, cost) of the useful pairs in row-major
+    order: those costing less than 2 * penalty, the only pairs that can
+    beat leaving both units unaligned. Without one every unit pays the
+    penalty; a single one is matched. Otherwise the optimum splits into
+    the connected components of the useful pairs: an isolated unit
+    stays unaligned, a 1x1 component is matched directly and only
+    larger components are solved. A component of r rows and c columns
+    is solved as a square matrix of side max(r, c) whose useful pairs
+    hold half their saving, ``0.5 * cost - penalty``, and whose other
+    entries are 0 ("no pair"); halving keeps the entries finite where
+    ``2 * penalty`` overflows. Among cost ties the matching may differ
+    from a solve of the whole matrix. The total adds, in row order, each
+    left unit's pair cost or penalty, then one penalty per unmatched
+    right unit.
     """
-    n, m = len(pair), len(pair[0])
-    if m == 0:
-        return penalty * n, []
+    total = 0.0
+    if not useful:
+        for _ in range(n + m):
+            total += penalty
+        return total, {}
+    if len(useful) == 1:
+        [(i0, j0, cost)] = useful
+        for i in range(n):
+            total += cost if i == i0 else penalty
+        for _ in range(m - 1):
+            total += penalty
+        return total, {i0: j0}
+
     # Union-find over left units 0..n-1 and right units n..n+m-1.
     root = list(range(n + m))
 
@@ -100,11 +116,10 @@ def _matching(pair: list[list[float]], penalty: float) -> tuple[float, list[tupl
             x = root[x]
         return x
 
-    limit = 2.0 * penalty
-    for i, row in enumerate(pair):
-        for j, cost in enumerate(row):
-            if cost < limit:
-                root[find(i)] = find(n + j)
+    rows_of: dict[int, dict[int, float]] = {}
+    for i, j, cost in useful:
+        rows_of.setdefault(i, {})[j] = cost
+        root[find(i)] = find(n + j)
     components: dict[int, list[int]] = {}
     for x in range(n + m):
         components.setdefault(find(x), []).append(x)
@@ -121,8 +136,8 @@ def _matching(pair: list[list[float]], penalty: float) -> tuple[float, list[tupl
         size = max(len(rows), len(cols))
         flat = array("d")
         for i in rows:
-            row = pair[i]
-            flat.extend([0.5 * row[j] - penalty if row[j] < limit else 0.0 for j in cols])
+            row = rows_of[i]
+            flat.extend([0.5 * row[j] - penalty if j in row else 0.0 for j in cols])
             flat.extend([0.0] * (size - len(cols)))
         flat.extend([0.0] * (size * (size - len(rows))))
         # A 2-D buffer rather than lists: perfbench's traced run reads the
@@ -130,16 +145,26 @@ def _matching(pair: list[list[float]], penalty: float) -> tuple[float, list[tupl
         solution, _ = solve_assignment(memoryview(flat).cast("B").cast("d", (size, size)))
         for k, i in enumerate(rows):
             c = solution[k]
-            if c < len(cols) and pair[i][cols[c]] < limit:
+            if c < len(cols) and cols[c] in rows_of[i]:
                 match[i] = cols[c]
 
-    total = 0.0
     for i in range(n):
-        total += pair[i][match[i]] if i in match else penalty
+        total += rows_of[i][match[i]] if i in match else penalty
     matched = set(match.values())
     for j in range(m):
         if j not in matched:
             total += penalty
+    return total, match
+
+
+def _matching(pair: list[list[float]], penalty: float) -> tuple[float, list[tuple[int, int]]]:
+    """``_match`` on a full cost matrix with at least one row: the cost
+    and the sorted matched pairs."""
+    limit = 2.0 * penalty
+    useful = [
+        (i, j, cost) for i, row in enumerate(pair) for j, cost in enumerate(row) if cost < limit
+    ]
+    total, match = _match(len(pair), len(pair[0]), useful, penalty)
     return total, sorted(match.items())
 
 
@@ -157,6 +182,12 @@ def _as_units(annotations: Iterable[SpanAnnotation | Unit]) -> list[Unit]:
     return units
 
 
+def _alignment_cost(a: Sequence[Unit], b: Sequence[Unit], cfg: DissimilarityConfig) -> float:
+    """Best-alignment cost of two non-empty unit lists, from their useful pairs."""
+    penalty = cfg.delta_empty
+    return _match(len(a), len(b), pair_costs(cfg)(a, b, 2.0 * penalty), penalty)[0]
+
+
 def alignment_cost(
     left: Iterable[SpanAnnotation | Unit],
     right: Iterable[SpanAnnotation | Unit],
@@ -166,7 +197,7 @@ def alignment_cost(
     a, b = _as_units(left), _as_units(right)
     if not a or not b:
         raise ModelError("both annotation sets must be non-empty")
-    return _matching(pair_cost_matrix(a, b, cfg), cfg.delta_empty)[0]
+    return _alignment_cost(a, b, cfg)
 
 
 def best_alignment(
@@ -305,7 +336,7 @@ def observed_disorder(
     a, b = _as_units(left), _as_units(right)
     if not a or not b:
         raise ModelError("both annotation sets must be non-empty")
-    return alignment_cost(a, b, cfg) / ((len(a) + len(b)) / 2.0)
+    return _alignment_cost(a, b, cfg) / ((len(a) + len(b)) / 2.0)
 
 
 def _child_rng(seed: int, example_id: str) -> random.Random:
@@ -313,20 +344,60 @@ def _child_rng(seed: int, example_id: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 
-def _resample(units: Sequence[Unit], text_length: int, rng: random.Random) -> list[Unit]:
-    """Random repositioning that keeps the side's span-length multiset
-    and category multiset: categories are shuffled over the units, each
-    start is redrawn uniformly over the positions where the span fits.
-    Every unit must fit in the text."""
-    categories = [category for _, _, category in units]
-    rng.shuffle(categories)
-    draw = rng.randrange
-    out = []
-    for (start, end, _), category in zip(units, categories):
-        length = end - start
-        new_start = draw(text_length - length + 1)
-        out.append((new_start, new_start + length, category))
-    return out
+def _resamples(
+    a: list[Unit], b: list[Unit], text_length: int, rng: random.Random
+) -> Iterator[tuple[list[Unit], list[Unit]]]:
+    """Endless random repositionings of both sides, left drawn first.
+
+    Each keeps a side's span-length multiset and category multiset: its
+    categories are shuffled over its units, then each start is redrawn
+    uniformly over the positions where the span fits. Every unit must
+    fit in the text.
+    """
+    # (span length, number of starts where it fits) per unit
+    fits_a = [(end - start, text_length - (end - start) + 1) for start, end, _ in a]
+    fits_b = [(end - start, text_length - (end - start) + 1) for start, end, _ in b]
+    categories_a = [category for _, _, category in a]
+    categories_b = [category for _, _, category in b]
+    shuffle, draw = rng.shuffle, rng.randrange
+    while True:
+        categories = categories_a[:]
+        shuffle(categories)
+        left = []
+        for (length, fits), category in zip(fits_a, categories):
+            start = draw(fits)
+            left.append((start, start + length, category))
+        categories = categories_b[:]
+        shuffle(categories)
+        right = []
+        for (length, fits), category in zip(fits_b, categories):
+            start = draw(fits)
+            right.append((start, start + length, category))
+        yield left, right
+
+
+def _expected_disorder(
+    a: list[Unit], b: list[Unit], text_length: int, cfg: GammaConfig, example_id: str
+) -> float:
+    """Mean alignment cost per unit over cfg.n_samples ``_resamples`` of
+    both non-empty sides, each scored from its useful pairs only."""
+    if text_length <= 0:
+        raise ModelError("text_length must be positive")
+    for start, end, _ in a + b:
+        if end - start > text_length:
+            raise ModelError(
+                f"span of length {end - start} cannot fit in text of length {text_length}"
+            )
+    costs = pair_costs(cfg.dissimilarity)
+    penalty = cfg.dissimilarity.delta_empty
+    limit = 2.0 * penalty
+    n, m = len(a), len(b)
+    avg_count = (n + m) / 2.0
+    total = 0.0
+    samples = _resamples(a, b, text_length, _child_rng(cfg.seed, example_id))
+    for _, (left, right) in zip(range(cfg.n_samples), samples):
+        total += _match(n, m, costs(left, right, limit), penalty)[0] / avg_count
+    return total / cfg.n_samples
 
 
 def expected_disorder(
@@ -345,21 +416,7 @@ def expected_disorder(
     a, b = _as_units(left), _as_units(right)
     if not a or not b:
         raise ModelError("both annotation sets must be non-empty")
-    if text_length <= 0:
-        raise ModelError("text_length must be positive")
-    for start, end, _ in a + b:
-        if end - start > text_length:
-            raise ModelError(
-                f"span of length {end - start} cannot fit in text of length {text_length}"
-            )
-    rng = _child_rng(cfg.seed, example_id)
-    avg_count = (len(a) + len(b)) / 2.0
-    total = 0.0
-    for _ in range(cfg.n_samples):
-        sample_a = _resample(a, text_length, rng)
-        sample_b = _resample(b, text_length, rng)
-        total += alignment_cost(sample_a, sample_b, cfg.dissimilarity) / avg_count
-    return total / cfg.n_samples
+    return _expected_disorder(a, b, text_length, cfg, example_id)
 
 
 def gamma_score(
@@ -380,10 +437,10 @@ def gamma_score(
     a, b = _as_units(left), _as_units(right)
     if not a or not b:
         return None
-    obs = observed_disorder(a, b, cfg.dissimilarity)
+    obs = _alignment_cost(a, b, cfg.dissimilarity) / ((len(a) + len(b)) / 2.0)
     if obs == 0.0:
         return 1.0
-    exp = expected_disorder(a, b, text_length, cfg, example_id)
+    exp = _expected_disorder(a, b, text_length, cfg, example_id)
     if exp <= 0.0:
         logger.warning(
             "zero expected disorder for example %r; skipping gamma", example_id

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 # A unit as the alignment sees it: (start, end, category).
 Unit = tuple[int, int, int]
@@ -50,12 +50,15 @@ class DissimilarityConfig:
             )
 
 
-def pair_cost_matrix(
-    left: Sequence[Unit],
-    right: Sequence[Unit],
+def pair_costs(
     cfg: DissimilarityConfig,
-) -> list[list[float]]:
-    """Unit dissimilarities for all pairs, as n rows of m costs.
+) -> Callable[[Sequence[Unit], Sequence[Unit], float | None], list[tuple[int, int, float]]]:
+    """The unit dissimilarity under cfg, with its constants hoisted.
+
+    The returned function maps (left, right, limit) to the (i, j, cost)
+    of every pair of ``left[i]`` and ``right[j]`` whose cost is below
+    ``limit``, in row-major order, or of every pair when ``limit`` is
+    None (a cost can overflow to inf, so no float keeps them all).
 
     The cost of a pair is
     ``scale * (alpha * delta_empty * d**2 + beta * [0 | delta_empty])``
@@ -66,11 +69,30 @@ def pair_cost_matrix(
     alpha, delta = cfg.alpha, cfg.delta_empty
     same, differ = cfg.beta * 0.0, cfg.beta * delta
     scale = 2.0 / (cfg.alpha + cfg.beta)
-    rows = []
-    for sl, el, cl in left:
-        row = []
-        for sr, er, cr in right:
-            d = (abs(sl - sr) + abs(el - er)) / ((el - sl) + (er - sr))
-            row.append(scale * (alpha * (delta * (d * d)) + (same if cl == cr else differ)))
-        rows.append(row)
+
+    def costs(
+        left: Sequence[Unit], right: Sequence[Unit], limit: float | None
+    ) -> list[tuple[int, int, float]]:
+        out = []
+        for i, (sl, el, cl) in enumerate(left):
+            for j, (sr, er, cr) in enumerate(right):
+                d = (abs(sl - sr) + abs(el - er)) / ((el - sl) + (er - sr))
+                cost = scale * (alpha * (delta * (d * d)) + (same if cl == cr else differ))
+                if limit is None or cost < limit:
+                    out.append((i, j, cost))
+        return out
+
+    return costs
+
+
+def pair_cost_matrix(
+    left: Sequence[Unit],
+    right: Sequence[Unit],
+    cfg: DissimilarityConfig,
+) -> list[list[float]]:
+    """Unit dissimilarities for all pairs, as n rows of m costs (see
+    ``pair_costs`` for the formula)."""
+    rows: list[list[float]] = [[] for _ in left]
+    for i, _, cost in pair_costs(cfg)(left, right, None):
+        rows[i].append(cost)
     return rows

@@ -18,7 +18,7 @@ from spanagree.gamma import (
     pair_cost_matrix,
 )
 from spanagree.gamma import alignment, solver
-from spanagree.gamma.alignment import _child_rng, _resample
+from spanagree.gamma.alignment import _child_rng, _resamples
 from spanagree.model import ModelError, SpanAnnotation
 
 from conftest import random_spans
@@ -378,8 +378,8 @@ class TestExpectedDisorder:
         cfg = GammaConfig(n_samples=1, seed=123)
         expected = expected_disorder(left, right, 40, cfg, example_id="e")
         rng = _child_rng(123, "e")
-        sample_left = [S(*u) for u in _resample(units(left), 40, rng)]
-        sample_right = [S(*u) for u in _resample(units(right), 40, rng)]
+        sample_units = next(_resamples(units(left), units(right), 40, rng))
+        sample_left, sample_right = ([S(*u) for u in side] for side in sample_units)
         direct = alignment_cost(sample_left, sample_right, cfg.dissimilarity) / 1.5
         assert expected == pytest.approx(direct, abs=1e-15)
 
@@ -425,7 +425,7 @@ class TestExpectedDisorder:
     def test_resample_preserves_length_and_category_multisets(self):
         rng = random.Random(31)
         spans = units(random_spans(rng, 50, 6))
-        sample = _resample(spans, 50, _child_rng(1, "z"))
+        sample, _ = next(_resamples(spans, spans, 50, _child_rng(1, "z")))
         assert sorted(e - s for s, e, _ in sample) == sorted(e - s for s, e, _ in spans)
         assert sorted(c for _, _, c in sample) == sorted(c for _, _, c in spans)
         assert all(0 <= s and e <= 50 for s, e, _ in sample)
