@@ -1,8 +1,16 @@
 """Collecting annotation campaigns from LLM providers."""
 
+from ..config import (
+    AnnotatorConfig,
+    DecodingParams,
+    FewshotExample,
+    PromptVariant,
+    SchemaMode,
+    TemplateError,
+    fewshot_from_config,
+)
 from .adapters import (
     CompletionResult,
-    DecodingParams,
     MissingApiKey,
     MockAdapter,
     OpenAIChatAdapter,
@@ -10,23 +18,13 @@ from .adapters import (
     ProviderError,
 )
 from .runner import (
-    AnnotatorConfig,
-    SchemaMode,
     TraceCache,
     annotate_dataset,
     annotate_example,
     cache_key,
     trace_record,
 )
-from .templates import (
-    FewshotExample,
-    PromptVariant,
-    TemplateError,
-    build_annotation_schema,
-    fewshot_from_config,
-    format_categories,
-    render_prompt,
-)
+from .templates import build_annotation_schema, format_categories, render_prompt
 
 __all__ = [
     "AnnotatorConfig",

@@ -5,7 +5,6 @@ runs and tests."""
 from __future__ import annotations
 
 import json
-import math
 import os
 import threading
 import time
@@ -13,17 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Protocol
 
+from ..config import DecodingParams
 from ..ingest import IngestError, KeyTypes, ParseError, check_object, decode_json, read_jsonl
-
-
-@dataclass(frozen=True)
-class DecodingParams:
-    temperature: float = 0.0
-    seed: int | None = 42
-
-    def __post_init__(self):
-        if not math.isfinite(self.temperature):
-            raise ValueError(f"temperature must be finite, got {self.temperature}")
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ import json
 import logging
 import threading
 from collections import deque
-from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
+from typing import TextIO
 
+from ..config import AnnotatorConfig, PromptVariant, SchemaMode
 from ..grounding import (
     GroundingError,
     extract_last_json_object,
@@ -43,43 +43,10 @@ from ..model import (
     Trace,
     normalize_annotation_set,
 )
-from .adapters import DecodingParams, ProviderAdapter, ProviderError
-from .templates import (
-    FewshotExample,
-    PromptVariant,
-    build_annotation_schema,
-    render_prompt,
-)
+from .adapters import ProviderAdapter, ProviderError
+from .templates import build_annotation_schema, render_prompt
 
 logger = logging.getLogger(__name__)
-
-class SchemaMode(str, Enum):
-    CONSTRAINED = "constrained"
-    FREEFORM = "freeform"
-
-
-@dataclass(frozen=True)
-class AnnotatorConfig:
-    """Everything that identifies one annotation run."""
-
-    model_id: str
-    variant: PromptVariant = PromptVariant.BASE
-    decoding: DecodingParams = field(default_factory=DecodingParams)
-    schema_mode: SchemaMode = SchemaMode.FREEFORM
-    max_retries: int = 3
-    concurrency_limit: int = 1
-    annotator_id: str = ""
-    fewshot_examples: tuple[FewshotExample, ...] = ()
-
-    def __post_init__(self):
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be at least 1")
-        if self.concurrency_limit < 1:
-            raise ValueError("concurrency_limit must be at least 1")
-
-    @property
-    def resolved_annotator_id(self) -> str:
-        return self.annotator_id or f"{self.model_id}-{self.variant.value}"
 
 
 def cache_key(config: AnnotatorConfig, prompt: str) -> str:
@@ -135,6 +102,7 @@ class TraceCache:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._records: dict[str, dict] = {}
+        self._handle: TextIO | None = None
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if not self.path.exists():
             return
@@ -172,11 +140,20 @@ class TraceCache:
         return self._records.get(key)
 
     def put(self, key: str, record: dict) -> None:
-        record = {"key": key, **record}
+        """Append one record and flush it to the file, which the first
+        put opens; ``close`` closes it."""
+        line = json.dumps({"key": key, **record}, ensure_ascii=False) + "\n"
         with self._lock:
-            with open(self.path, "a", encoding="utf-8", newline="\n") as handle:
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-                handle.flush()
+            if self._handle is None:
+                self._handle = open(self.path, "a", encoding="utf-8", newline="\n")
+            self._handle.write(line)
+            self._handle.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
 
 def annotate_example(
@@ -329,7 +306,7 @@ def annotate_dataset(
     examples are flagged failed rather than aborting the run. Any other
     error, or a Ctrl-C, stops the run once the examples in flight finish.
     """
-    # Imported here because evaluate imports this module too and starts no pool.
+    # Imported here, so that importing the package does not load it; only a run uses it.
     from concurrent.futures import ThreadPoolExecutor
 
     cache = TraceCache(cache_path) if cache_path is not None else None
@@ -367,14 +344,18 @@ def annotate_dataset(
             queue.clear()
             raise
 
-    with ThreadPoolExecutor(max_workers=config.concurrency_limit) as pool:
-        try:
-            workers = [pool.submit(work) for _ in range(config.concurrency_limit)]
-            for worker in workers:
-                worker.result()
-        finally:
-            # After an error or a Ctrl-C here, only the examples in flight finish.
-            queue.clear()
+    try:
+        with ThreadPoolExecutor(max_workers=config.concurrency_limit) as pool:
+            try:
+                workers = [pool.submit(work) for _ in range(config.concurrency_limit)]
+                for worker in workers:
+                    worker.result()
+            finally:
+                # After an error or a Ctrl-C here, only the examples in flight finish.
+                queue.clear()
+    finally:
+        if cache is not None:
+            cache.close()
 
     sets = {e.id: results[e.id][0] for e in examples}
     traces = {e.id: results[e.id][1] for e in examples}

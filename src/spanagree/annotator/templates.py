@@ -10,36 +10,11 @@ body.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
-from ..ingest import IngestError, check_object
+# fewshot_from_config is imported only to keep its old import path.
+from ..config import FewshotExample, PromptVariant, TemplateError, fewshot_from_config
 from ..model import CategorySet, Example
-
-
-class PromptVariant(str, Enum):
-    BASE = "base"
-    COT = "cot"
-    FIVESHOT = "fiveshot"
-    NOGUIDE = "noguide"
-    NOREASON = "noreason"
-
-
-class TemplateError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class FewshotExample:
-    """One worked example for the few-shot addendum: the input data, the
-    target text, and the expected annotations as a JSON string."""
-
-    text: str
-    annotations_json: str
-    data: str | None = None
-
 
 _FIELD_LISTS = {
     True: '"reason", "text", and "annotation_type"',
@@ -194,27 +169,3 @@ def build_annotation_schema(include_reason: bool = True) -> dict:
         "required": ["annotations"],
         "additionalProperties": False,
     }
-
-
-def fewshot_from_config(entries: Sequence[dict]) -> tuple[FewshotExample, ...]:
-    """Build few-shot examples from config records: {text, annotations,
-    data?}, where annotations is the expected output payload."""
-    shots = []
-    for pos, entry in enumerate(entries):
-        try:
-            check_object(
-                entry, {"text": str, "annotations": list}, {"data": str},
-                f"fewshot entry {pos}",
-            )
-        except IngestError as exc:
-            raise TemplateError(str(exc)) from exc
-        shots.append(
-            FewshotExample(
-                text=entry["text"],
-                annotations_json=json.dumps(
-                    {"annotations": entry["annotations"]}, ensure_ascii=False
-                ),
-                data=entry.get("data"),
-            )
-        )
-    return tuple(shots)

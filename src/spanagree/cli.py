@@ -9,182 +9,60 @@ problems, 130 when interrupted (Ctrl-C).
 from __future__ import annotations
 
 import argparse
-import hashlib
+import importlib
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
-from .annotator import (
+# The config types are re-exported here, where callers have imported them from.
+from .config import (
     AnnotatorConfig,
+    ConfigError,
     DecodingParams,
-    MissingApiKey,
-    MockAdapter,
-    OpenAIChatAdapter,
+    DissimilarityConfig,
+    GammaConfig,
     PromptVariant,
+    ProviderSettings,
+    RunConfig,
     SchemaMode,
     TemplateError,
-    annotate_dataset,
     fewshot_from_config,
-    trace_record,
+    load_run_config,
 )
-from .gamma import DissimilarityConfig, GammaConfig
-from .ingest import (
-    IngestError,
-    check_object,
-    decode_json,
-    export_campaign,
-    load_campaign,
-    load_dataset,
-)
-from .metrics import (
-    MetricError,
-    aggregate,
-    annotation_stats,
-    confusion_matrix,
-)
+from .ingest import IngestError, export_campaign, load_campaign, load_dataset
 from .model import Campaign, Dataset, ModelError
-from .report import (
-    fmt3,
-    report_to_dict,
-    stats_lines,
-    write_confusion_csv,
-    write_per_example_csv,
-    write_report_json,
-    write_summary_csv,
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INTERRUPTED = 130
 
-
-class ConfigError(ValueError):
-    pass
-
-
-@dataclass
-class ProviderSettings:
-    kind: str = "openai"
-    base_url: str = "https://api.openai.com/v1"
-    api_key_env: str = "OPENAI_API_KEY"
-    replies: Path | None = None  # mock only
-
-
-@dataclass
-class RunConfig:
-    corpus: Path
-    categories: Path
-    output_dir: Path
-    campaigns: dict[str, Path] = field(default_factory=dict)
-    cache: Path | None = None
-    annotator: AnnotatorConfig | None = None
-    provider: ProviderSettings = field(default_factory=ProviderSettings)
-    gamma: GammaConfig = field(default_factory=GammaConfig)
-    config_hash: str = ""
-
-
-def _resolve(base: Path, value: str) -> Path:
-    path = Path(value)
-    return path if path.is_absolute() else base / path
-
-
-# Each config section's optional keys and their JSON types. An omitted
-# key, or null, takes the default of the dataclass field it fills; only
-# annotator.seed keeps null, because DecodingParams.seed may be None.
-_ANNOTATOR_KEYS = {"annotator_id": str, "variant": str, "schema_mode": str,
-                   "max_retries": int, "concurrency": int, "fewshot": list}
-_DECODING_KEYS = {"temperature": (int, float), "seed": int}
-_PROVIDER_KEYS = {"kind": str, "base_url": str, "api_key_env": str, "replies": str}
-_DISSIMILARITY_KEYS = dict.fromkeys(("alpha", "beta", "delta_empty"), (int, float))
-_GAMMA_KEYS = {"n_samples": int, "seed": int}
-
-# Config keys whose dataclass field has another name or type.
-_FIELD_NAMES = {"concurrency": "concurrency_limit", "fewshot": "fewshot_examples"}
-_FIELD_TYPES = {
-    "variant": PromptVariant,
-    "schema_mode": SchemaMode,
-    "fewshot": fewshot_from_config,
+# The names this module takes from the annotate runtime and the scorer.
+# Each is imported on first use, through the module __getattr__ below,
+# so `import spanagree.cli` loads neither and each command loads only its
+# own modules. The commands look the names up on this module (`_cli`), so
+# patching `cli.annotate_dataset` or `cli.aggregate` still reaches them.
+_DEFERRED = {
+    "annotator.adapters": ("MockAdapter", "OpenAIChatAdapter"),
+    "annotator.runner": ("annotate_dataset", "trace_record"),
+    "metrics": ("aggregate", "annotation_stats", "confusion_matrix"),
+    "report": ("fmt3", "report_to_dict", "stats_lines", "write_confusion_csv",
+               "write_per_example_csv", "write_report_json", "write_summary_csv"),
 }
+_MODULE_OF = {name: module for module, names in _DEFERRED.items() for name in names}
 
 
-def _fields(section: dict, keys: dict) -> dict:
-    """Dataclass keyword arguments for the keys the section gives."""
-    return {
-        _FIELD_NAMES.get(key, key): _FIELD_TYPES.get(key, lambda v: v)(section[key])
-        for key in keys
-        if section.get(key) is not None
-    }
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__package__}.{_MODULE_OF[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
 
 
-def load_run_config(path: str | Path) -> RunConfig:
-    """Parse and validate the run configuration; unknown keys are errors."""
-    path = Path(path)
-    raw_bytes = path.read_bytes()
-    base = path.parent
-    try:
-        raw = decode_json(raw_bytes)
-        check_object(
-            raw,
-            {"corpus": str, "categories": str, "output_dir": str},
-            {"campaigns": dict, "cache": str, "annotator": dict, "metrics": dict},
-            "config",
-        )
-        campaigns = raw.get("campaigns") or {}
-        check_object(campaigns, dict.fromkeys(campaigns, str), {}, "campaigns")
-
-        annotator = None
-        provider = ProviderSettings()
-        if raw.get("annotator") is not None:
-            section = raw["annotator"]
-            check_object(
-                section,
-                {"model_id": str},
-                {**_ANNOTATOR_KEYS, **_DECODING_KEYS, "provider": dict},
-                "annotator",
-            )
-            decoding = DecodingParams(**_fields(section, _DECODING_KEYS))
-            if "seed" in section and section["seed"] is None:
-                # DecodingParams.seed is optional: null sends unseeded requests.
-                decoding = replace(decoding, seed=None)
-            annotator = AnnotatorConfig(
-                model_id=section["model_id"],
-                decoding=decoding,
-                **_fields(section, _ANNOTATOR_KEYS),
-            )
-            provider_raw = section.get("provider") or {}
-            check_object(provider_raw, {}, _PROVIDER_KEYS, "annotator.provider")
-            provider = ProviderSettings(**_fields(provider_raw, _PROVIDER_KEYS))
-            if provider.replies is not None:
-                provider.replies = _resolve(base, provider.replies)
-            if provider.kind not in ("openai", "mock"):
-                raise ConfigError(f"unknown provider kind {provider.kind!r}")
-
-        metrics = raw.get("metrics") or {}
-        check_object(metrics, {}, {"gamma": dict}, "metrics")
-        gamma_raw = metrics.get("gamma") or {}
-        check_object(
-            gamma_raw, {}, {**_DISSIMILARITY_KEYS, **_GAMMA_KEYS}, "metrics.gamma"
-        )
-        gamma = GammaConfig(
-            dissimilarity=DissimilarityConfig(**_fields(gamma_raw, _DISSIMILARITY_KEYS)),
-            **_fields(gamma_raw, _GAMMA_KEYS),
-        )
-    except ValueError as exc:  # also invalid JSON, IngestError and TemplateError
-        raise ConfigError(f"{path}: {exc}") from exc
-
-    return RunConfig(
-        corpus=_resolve(base, raw["corpus"]),
-        categories=_resolve(base, raw["categories"]),
-        output_dir=_resolve(base, raw["output_dir"]),
-        campaigns={name: _resolve(base, value) for name, value in campaigns.items()},
-        cache=_resolve(base, raw["cache"]) if raw.get("cache") is not None else None,
-        annotator=annotator,
-        provider=provider,
-        gamma=gamma,
-        config_hash=hashlib.sha256(raw_bytes).hexdigest(),
-    )
+# This module as the commands see it; under `python -m` it is __main__.
+_cli = sys.modules[__name__]
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -208,9 +86,9 @@ def _make_adapter(config: RunConfig):
     if config.provider.kind == "mock":
         if config.provider.replies is None:
             raise ConfigError("mock provider needs a replies file (--mock PATH)")
-        return MockAdapter.from_jsonl(config.provider.replies)
+        return _cli.MockAdapter.from_jsonl(config.provider.replies)
     try:
-        return OpenAIChatAdapter(
+        return _cli.OpenAIChatAdapter(
             model_id=config.annotator.model_id,
             base_url=config.provider.base_url,
             api_key_env=config.provider.api_key_env,
@@ -231,14 +109,18 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_run_config(args.config), args)
     dataset = load_dataset(config.corpus, config.categories)
     adapter = _make_adapter(config)
-    campaign = annotate_dataset(dataset, config.annotator, adapter, cache_path=config.cache)
+    campaign = _cli.annotate_dataset(
+        dataset, config.annotator, adapter, cache_path=config.cache
+    )
     config.output_dir.mkdir(parents=True, exist_ok=True)
     export_campaign(campaign, config.output_dir / "campaign.jsonl")
     with open(
         config.output_dir / "traces.jsonl", "w", encoding="utf-8", newline="\n"
     ) as handle:
         for example_id in campaign.example_ids():
-            record = trace_record(campaign.traces[example_id], campaign.sets[example_id])
+            record = _cli.trace_record(
+                campaign.traces[example_id], campaign.sets[example_id]
+            )
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
     failed = sorted(campaign.failed_ids())
@@ -257,21 +139,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     reference = _load_named_campaign(config, args.reference, dataset)
     candidate = _load_named_campaign(config, args.candidate, dataset)
 
-    score_report = aggregate(dataset, reference, candidate, config.gamma)
-    confusion = confusion_matrix(reference, candidate, dataset.k)
+    score_report = _cli.aggregate(dataset, reference, candidate, config.gamma)
+    confusion = _cli.confusion_matrix(reference, candidate, dataset.k)
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    payload = report_to_dict(
+    payload = _cli.report_to_dict(
         score_report,
         confusion,
         dataset.categories,
         meta={"config_hash": config.config_hash},
     )
-    write_report_json(config.output_dir / "report.json", payload)
-    write_summary_csv(config.output_dir / "summary.csv", score_report)
-    write_per_example_csv(config.output_dir / "per_example.csv", score_report)
-    write_confusion_csv(config.output_dir / "confusion.csv", confusion, dataset.categories)
+    _cli.write_report_json(config.output_dir / "report.json", payload)
+    _cli.write_summary_csv(config.output_dir / "summary.csv", score_report)
+    _cli.write_per_example_csv(config.output_dir / "per_example.csv", score_report)
+    _cli.write_confusion_csv(config.output_dir / "confusion.csv", confusion, dataset.categories)
 
+    fmt3 = _cli.fmt3
     print(
         f"{score_report.candidate_id} vs {score_report.reference_id}: "
         f"pearson={fmt3(score_report.pearson)} "
@@ -293,8 +176,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     dataset = load_dataset(config.corpus, config.categories)
     campaign = _load_named_campaign(config, args.campaign, dataset)
-    stats = annotation_stats(campaign)
-    for line in stats_lines(campaign.annotator_id, stats):
+    stats = _cli.annotation_stats(campaign)
+    for line in _cli.stats_lines(campaign.annotator_id, stats):
         print(line)
     return EXIT_OK
 
@@ -340,8 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, IngestError, MetricError, ModelError, MissingApiKey,
-            TemplateError) as exc:
+    except (ConfigError, IngestError, ModelError, TemplateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
@@ -350,6 +232,15 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except Exception as exc:
+        # Imported on the error path only: their modules belong to one command.
+        from .annotator.adapters import MissingApiKey
+        from .metrics import MetricError
+
+        if not isinstance(exc, (MetricError, MissingApiKey)):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

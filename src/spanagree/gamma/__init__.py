@@ -1,8 +1,8 @@
 """Chance-corrected alignment agreement between annotation sets."""
 
+from ..config import DissimilarityConfig, GammaConfig
 from .alignment import (
     Alignment,
-    GammaConfig,
     alignment_cost,
     best_alignment,
     expected_disorder,
@@ -10,7 +10,7 @@ from .alignment import (
     observed_disorder,
     oracle_best_alignment,
 )
-from .dissimilarity import DissimilarityConfig, pair_cost_matrix
+from .dissimilarity import pair_cost_matrix
 
 __all__ = [
     "Alignment",

@@ -14,11 +14,12 @@ import hashlib
 import logging
 import random
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from ..config import DissimilarityConfig, GammaConfig
 from ..model import ModelError, SpanAnnotation
-from .dissimilarity import DissimilarityConfig, Unit, pair_cost_matrix, pair_costs
+from .dissimilarity import Unit, pair_cost_matrix, pair_costs
 from .solver import solve_assignment
 
 logger = logging.getLogger(__name__)
@@ -28,20 +29,6 @@ logger = logging.getLogger(__name__)
 _COST_RTOL = 1e-9
 
 ORACLE_LIMIT = 6
-
-
-@dataclass(frozen=True)
-class GammaConfig:
-    """Settings for the chance-corrected score: dissimilarity weights
-    plus the resampling budget and seed for expected disorder."""
-
-    dissimilarity: DissimilarityConfig = field(default_factory=DissimilarityConfig)
-    n_samples: int = 30
-    seed: int = 42
-
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
 
 
 @dataclass(frozen=True)

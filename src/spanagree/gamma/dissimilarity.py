@@ -10,44 +10,12 @@ That keeps the chance-corrected score invariant under rescaling.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
+
+from ..config import DissimilarityConfig
 
 # A unit as the alignment sees it: (start, end, category).
 Unit = tuple[int, int, int]
-
-
-@dataclass(frozen=True)
-class DissimilarityConfig:
-    """Weights for the combined unit dissimilarity.
-
-    ``delta_empty`` is both the overall cost scale and the penalty paid
-    for every unit left out of the alignment.
-    """
-
-    alpha: float = 1.0
-    beta: float = 1.0
-    delta_empty: float = 1.0
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.alpha, self.beta, self.delta_empty))):
-            raise ValueError(
-                f"dissimilarity weights must be finite, got alpha={self.alpha}, "
-                f"beta={self.beta}, delta_empty={self.delta_empty}"
-            )
-        if self.alpha < 0 or self.beta < 0 or self.delta_empty < 0:
-            raise ValueError("dissimilarity weights must be non-negative")
-        total = self.alpha + self.beta
-        if total <= 0:
-            raise ValueError("alpha + beta must be positive")
-        # An infinite sum zeroes the cost scale and an infinite scale turns
-        # identical units' cost into nan; either breaks gamma == 1 iff identical.
-        if not (math.isfinite(total) and math.isfinite(2.0 / total)):
-            raise ValueError(
-                f"cost scale 2 / (alpha + beta) must be finite and non-zero, "
-                f"got alpha={self.alpha}, beta={self.beta}"
-            )
 
 
 def pair_costs(

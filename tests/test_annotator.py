@@ -258,6 +258,7 @@ class TestAnnotateDataset:
         assert path.parent.is_dir() and not path.exists()
         cache.put("k", {"failed": False})
         assert json.loads(path.read_text()) == {"key": "k", "failed": False}
+        cache.close()
 
     def test_each_prompt_rendered_once(self, dataset, tmp_path, monkeypatch):
         calls = []
@@ -427,6 +428,34 @@ except KeyboardInterrupt:
         assert int(run.stdout) - 3 <= concurrency
         # the records of the finished examples are in the cache for a resume
         assert len((tmp_path / "cache.jsonl").read_text().splitlines()) >= 2
+
+    @pytest.mark.parametrize("error", [None, OSError("disk full"), KeyboardInterrupt()])
+    def test_one_cache_handle_per_run_closed_when_it_ends(self, error, tmp_path, monkeypatch):
+        dataset = make_dataset({f"e{i}": "the cat sat" for i in range(6)})
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        class FailsLastExample(MockAdapter):
+            def complete(self, prompt, decoding, schema=None, request_id=""):
+                if error is not None and request_id == "e5":
+                    raise error
+                return super().complete(prompt, decoding, schema, request_id)
+
+        monkeypatch.setattr(runner, "open", recording_open, raising=False)
+        adapter = FailsLastExample({e.id: [reply([])] for e in dataset.examples})
+        cache = tmp_path / "cache.jsonl"
+        if error is None:
+            annotate_dataset(dataset, config(), adapter, cache)
+        else:
+            with pytest.raises(type(error)):
+                annotate_dataset(dataset, config(), adapter, cache)
+        # one append handle for every record, closed however the run ended
+        assert [h.mode for h in handles] == ["a"] and handles[0].closed
+        records = cache.read_text(encoding="utf-8").splitlines()
+        assert len(records) == (6 if error is None else 5)
 
     def test_works_without_cache(self, dataset):
         campaign = annotate_dataset(dataset, config(), self.full_mock())

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -21,6 +22,9 @@ from conftest import FIXTURES, write_bundled_categories
 
 # Loaded only by the OpenAI-compatible adapter when it sends a request.
 NETWORK_MODULES = ["http.client", "urllib.request", "ssl", "email.parser"]
+# What each command leaves to the other: the scorer and the annotate runtime.
+SCORER_MODULES = ["spanagree.gamma", "spanagree.metrics", "spanagree.report", "csv"]
+ANNOTATE_MODULES = ["spanagree.annotator", "spanagree.grounding"]
 
 
 @pytest.fixture
@@ -508,13 +512,17 @@ class TestCommands:
         )
 
     @pytest.mark.parametrize(
-        "module", ["numpy", "scipy", "requests", "urllib3", *NETWORK_MODULES, "concurrent.futures"]
+        "module",
+        ["numpy", "scipy", "requests", "urllib3", *NETWORK_MODULES, "concurrent.futures",
+         *ANNOTATE_MODULES],
     )
     def test_evaluate_does_not_import(self, mock_config, module):
         path, _ = mock_config
         self.assert_run_leaves_out(module, ["evaluate", "--config", str(path), "gold", "gold"])
 
-    @pytest.mark.parametrize("module", ["numpy", "scipy", "requests", *NETWORK_MODULES])
+    @pytest.mark.parametrize(
+        "module", ["numpy", "scipy", "requests", *NETWORK_MODULES, *SCORER_MODULES]
+    )
     def test_annotate_mock_does_not_import(self, mock_config, module):
         path, _ = mock_config
         replies = str(FIXTURES / "replies10.jsonl")
@@ -522,7 +530,17 @@ class TestCommands:
 
     def test_import_does_not_load_network_or_pool(self):
         # What every command pays before it parses its arguments.
-        self.assert_leaves_out([*NETWORK_MODULES, "concurrent.futures"], "import spanagree.cli")
+        self.assert_leaves_out(
+            [*NETWORK_MODULES, "concurrent.futures", *SCORER_MODULES, *ANNOTATE_MODULES],
+            "import spanagree.cli",
+        )
+
+    def test_deferred_names_resolve_on_first_use(self):
+        for module, names in cli._DEFERRED.items():
+            owner = importlib.import_module(f"spanagree.{module}")
+            assert all(getattr(cli, name) is getattr(owner, name) for name in names)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cli.no_such_name
 
     def test_output_override(self, mock_config, tmp_path):
         path, _ = mock_config

@@ -101,6 +101,14 @@ def ref_resample(spans, text_length, rng):
 
 
 def ref_gamma(left, right, text_length, cfg, example_id):
+    """gamma as the earlier implementation computed it.
+
+    gamma_score equals it with ``==`` only when no two optimal matchings
+    of an alignment tie: the reference solves each component as the old
+    padded matrix and may pick the other matching of a tie, whose summed
+    cost equals gamma_score's only up to rounding (see
+    test_gamma_useful_pairs).
+    """
     if not left or not right:
         return None
     avg_count = (len(left) + len(right)) / 2.0

@@ -7,7 +7,8 @@ a single one is matched directly, and otherwise the pairs are split into
 connected components, of which only those with 3 or more units reach
 the solver. Each test records which of these branches its alignments
 took, so that a test whose inputs stop forcing its branch fails instead
-of passing vacuously.
+of passing vacuously. Where two optimal matchings tie, the two agree
+only to rounding; the last test pins such a case.
 """
 
 from __future__ import annotations
@@ -164,3 +165,22 @@ def test_zero_alpha(monkeypatch, seed):
         _, seen = traced_gamma(monkeypatch, left, right, text_len, cfg, f"a{seed}-{index}")
         taken.update(min(useful, 2) for useful, _ in seen)
     assert taken == {0, 1, 2}
+
+
+def test_tied_matchings_agree_with_the_reference_to_rounding():
+    # ref_gamma solves each component as the old padded matrix. Where two
+    # optimal matchings tie it can pick the other one, whose summed cost
+    # equals gamma_score's only up to rounding. Here the observed
+    # alignment ties: draw 458 of the loop of
+    # test_gamma_equals_reference_under_any_weights run from
+    # random.Random(1) with alpha 1, beta 0 and delta_empty 0.3.
+    left = [S(8, 9, 0), S(12, 17, 3), S(9, 10, 3)]
+    right = [S(8, 11, 0), S(12, 15, 3), S(10, 11, 3), S(0, 6, 2), S(10, 24, 0),
+             S(6, 26, 3), S(1, 10, 1), S(0, 5, 3), S(11, 25, 1), S(8, 23, 1)]
+    cfg = GammaConfig(DissimilarityConfig(alpha=1.0, beta=0.0, delta_empty=0.3),
+                      n_samples=10, seed=75)
+    got = gamma_score(left, right, 37, cfg, "x")
+    want = ref_gamma(left, right, 37, cfg, "x")
+    assert got == 0.1071917954928765
+    assert want == 0.10719179549287661  # the tie this test pins
+    assert math.isclose(got, want, rel_tol=1e-12)

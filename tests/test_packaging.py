@@ -63,6 +63,36 @@ def test_every_public_name_resolves(package):
     assert not missing, f"{package}.__all__ names what it does not define: {missing}"
 
 
+# The modules that defined or re-exported each config type before they
+# all moved to spanagree.config; each still hands out the same object.
+_CONFIG_IMPORT_PATHS = {
+    "spanagree.annotator": ["AnnotatorConfig", "DecodingParams", "FewshotExample",
+                            "PromptVariant", "SchemaMode", "TemplateError",
+                            "fewshot_from_config"],
+    "spanagree.annotator.adapters": ["DecodingParams"],
+    "spanagree.annotator.runner": ["AnnotatorConfig", "SchemaMode"],
+    "spanagree.annotator.templates": ["FewshotExample", "PromptVariant", "TemplateError",
+                                      "fewshot_from_config"],
+    "spanagree.cli": ["AnnotatorConfig", "ConfigError", "DecodingParams",
+                      "DissimilarityConfig", "GammaConfig", "PromptVariant",
+                      "ProviderSettings", "RunConfig", "SchemaMode", "TemplateError",
+                      "fewshot_from_config", "load_run_config"],
+    "spanagree.gamma": ["DissimilarityConfig", "GammaConfig"],
+    "spanagree.gamma.alignment": ["GammaConfig"],
+    "spanagree.gamma.dissimilarity": ["DissimilarityConfig"],
+}
+
+
+@pytest.mark.parametrize("package", sorted(_CONFIG_IMPORT_PATHS))
+def test_config_types_keep_their_import_paths(package):
+    from spanagree import config
+
+    module = importlib.import_module(package)
+    moved = [name for name in _CONFIG_IMPORT_PATHS[package]
+             if getattr(module, name, None) is not getattr(config, name)]
+    assert not moved, f"{package} no longer hands out spanagree.config's {moved}"
+
+
 def _defined_exception_classes() -> list[type]:
     """Every exception class defined in a module of the spanagree package."""
     classes = []
