@@ -3,10 +3,14 @@
 Runs are resumable: every successfully annotated example is appended to
 an on-disk cache keyed by (model, variant, schema mode, decoding,
 rendered prompt), and a rerun only issues requests for examples without
-a cached success. Malformed model output is retried with the identical
-prompt; after the retry budget the example's trace is flagged failed,
-which is kept distinct from a genuine "nothing to annotate" answer, and
-nothing is cached for it, so a rerun requests it again.
+a cached success. A fresh reply and a cached one go through the same
+derivation, ``derive_annotations``, so a rerun derives every example's
+spans from the provider's reply with the current grounding code; a
+cached reply that no longer derives is requested again. Malformed model
+output is retried with the identical prompt; after the retry budget the
+example's trace is flagged failed, which is kept distinct from a genuine
+"nothing to annotate" answer, and nothing is cached for it, so a rerun
+requests it again.
 """
 
 from __future__ import annotations
@@ -22,24 +26,18 @@ from typing import TextIO
 from ..config import AnnotatorConfig, PromptVariant, SchemaMode
 from ..grounding import (
     GroundingError,
+    GroundingReport,
     extract_last_json_object,
     ground_annotations,
     parse_annotation_payload,
     split_reasoning,
 )
-from ..ingest import (
-    IngestError,
-    annotation_from_dict,
-    annotation_to_dict,
-    check_object,
-    decode_json,
-)
+from ..ingest import IngestError, annotation_to_dict, check_object, decode_json
 from ..model import (
     AnnotationSet,
     Campaign,
     Dataset,
     Example,
-    ModelError,
     Trace,
     normalize_annotation_set,
 )
@@ -94,8 +92,8 @@ class TraceCache:
     Every record is appended together with its newline, so a final line
     without one was cut short by a kill mid-append. Loading truncates
     that line away and its example is annotated again; a malformed
-    complete line raises CacheError, and so does a record whose spans
-    or trace fields cannot be decoded when it is looked up.
+    complete line raises CacheError, and so does a record with a missing
+    reply or a field of the wrong type when it is looked up.
     """
 
     def __init__(self, path: str | Path):
@@ -156,6 +154,45 @@ class TraceCache:
                 self._handle = None
 
 
+def derive_annotations(
+    raw: str, example: Example, dataset: Dataset, config: AnnotatorConfig
+) -> tuple[str, tuple[AnnotationSet, GroundingReport] | None]:
+    """Turn one provider reply into the example's spans.
+
+    Returns the reply's reasoning and either the normalized annotation
+    set with its grounding report, or None when the reply holds no
+    usable payload. The reasoning comes back in both cases, so a failed
+    example's trace keeps that of its last answered attempt. Fresh
+    replies and cached ones both go through here, so every run derives
+    its spans with the current grounding code.
+    """
+    if config.schema_mode is SchemaMode.CONSTRAINED:
+        reasoning = ""
+        try:
+            payload = decode_json(raw)
+        except json.JSONDecodeError:
+            return reasoning, None
+    else:
+        cleaned, reasoning = split_reasoning(raw)
+        try:
+            payload = extract_last_json_object(cleaned)
+        except GroundingError:
+            return reasoning, None
+    try:
+        raws, report = parse_annotation_payload(payload, dataset.k)
+    except GroundingError:
+        return reasoning, None
+    spans, ground_report = ground_annotations(raws, example.text)
+    report.merge(ground_report)
+    if report.dropped:
+        logger.debug(
+            "example %s: %d grounded, %d dropped", example.id, report.grounded,
+            report.dropped,
+        )
+    aset, _ = normalize_annotation_set(spans, example.text, dataset.no_overlap, example.id)
+    return reasoning, (aset, report)
+
+
 def annotate_example(
     example: Example,
     dataset: Dataset,
@@ -203,35 +240,11 @@ def annotate_example(
         prompt_tokens += result.prompt_tokens
         completion_tokens += result.completion_tokens
         raw = result.text
-        if config.schema_mode is SchemaMode.CONSTRAINED:
-            reasoning = ""
-            try:
-                payload = decode_json(raw)
-            except json.JSONDecodeError:
-                failures += 1
-                continue
-        else:
-            cleaned, reasoning = split_reasoning(raw)
-            try:
-                payload = extract_last_json_object(cleaned)
-            except GroundingError:
-                failures += 1
-                continue
-        try:
-            raws, report = parse_annotation_payload(payload, dataset.k)
-        except GroundingError:
+        reasoning, derived = derive_annotations(raw, example, dataset, config)
+        if derived is None:
             failures += 1
             continue
-        spans, ground_report = ground_annotations(raws, example.text)
-        report.merge(ground_report)
-        if report.dropped:
-            logger.debug(
-                "example %s: %d grounded, %d dropped", example.id, report.grounded,
-                report.dropped,
-            )
-        aset, _ = normalize_annotation_set(
-            spans, example.text, dataset.no_overlap, example.id
-        )
+        aset = derived[0]
         break
 
     trace = Trace(
@@ -252,44 +265,54 @@ def annotate_example(
     return aset, trace
 
 
-# A cache record is a trace_record plus its key; every field but the
-# spans has a default, so records written before a field existed load.
-_RECORD_KEYS = {"annotations": list}
+# A cache record is a trace_record plus its key. Its spans are derived
+# again from raw_output on every hit, so the stored annotations are not
+# read; every field but raw_output has a default, so records written
+# before a field existed load.
+_RECORD_KEYS = {"raw_output": str}
 _RECORD_OPTIONAL_KEYS = {
-    **dict.fromkeys(("key", "example_id", "model_id", "variant", "raw_output", "reasoning"), str),
-    "latency_s": (int, float), "usage": dict, "retries": int, "failed": bool,
+    **dict.fromkeys(("key", "example_id", "model_id", "variant", "reasoning"), str),
+    "annotations": list, "latency_s": (int, float), "usage": dict, "retries": int,
+    "failed": bool,
 }
 _USAGE_KEYS = {"prompt_tokens": int, "completion_tokens": int}
 # The Trace fields a record and its usage fill; a null or absent one
 # takes the Trace default.
-_TRACE_FIELDS = (
-    "model_id", "variant", "raw_output", "reasoning", "latency_s",
-    "prompt_tokens", "completion_tokens", "retries", "failed",
-)
+_TRACE_FIELDS = ("latency_s", "prompt_tokens", "completion_tokens", "retries")
 
 
-def _set_from_record(
-    example_id: str, record: dict, path: Path
-) -> tuple[AnnotationSet, Trace]:
+def _from_record(
+    example: Example, record: dict, dataset: Dataset, config: AnnotatorConfig, path: Path
+) -> tuple[AnnotationSet, Trace] | None:
+    """The set and trace of a cached success, or None when its reply no
+    longer derives and the example must be requested again.
+
+    The cache key pins the model and the variant, so the trace takes
+    them from the config.
+    """
     try:
         check_object(record, _RECORD_KEYS, _RECORD_OPTIONAL_KEYS, "record")
-        annotations = tuple(
-            annotation_from_dict(item, f"annotation {pos}")
-            for pos, item in enumerate(record["annotations"])
-        )
         usage = record.get("usage") or {}
         check_object(usage, {}, _USAGE_KEYS, "usage")
-        values = {**record, **usage}
-        trace = Trace(
-            example_id=example_id,
-            **{key: values[key] for key in _TRACE_FIELDS if values.get(key) is not None},
-        )
-        return AnnotationSet(example_id, annotations), trace
-    except (IngestError, ModelError) as exc:
+    except IngestError as exc:
         raise CacheError(
-            f"{path}: the record for example {example_id!r} cannot be read ({exc}); "
+            f"{path}: the record for example {example.id!r} cannot be read ({exc}); "
             "remove its line or the file to re-annotate"
         ) from exc
+    raw = record["raw_output"]
+    reasoning, derived = derive_annotations(raw, example, dataset, config)
+    if derived is None:
+        logger.warning(
+            "%s: the cached reply for example %r gives no usable payload; "
+            "requesting it again", path, example.id,
+        )
+        return None
+    values = {**record, **usage}
+    trace = Trace(
+        example.id, config.model_id, config.variant.value, raw, reasoning,
+        **{key: values[key] for key in _TRACE_FIELDS if values.get(key) is not None},
+    )
+    return derived[0], trace
 
 
 def annotate_dataset(
@@ -334,8 +357,10 @@ def annotate_dataset(
                 cached = cache.get(key) if cache is not None else None
                 # Caches written before failures were left out hold failed records.
                 if cached is not None and not cached.get("failed"):
-                    results[example.id] = _set_from_record(example.id, cached, cache.path)
-                    continue
+                    hit = _from_record(example, cached, dataset, config, cache.path)
+                    if hit is not None:
+                        results[example.id] = hit
+                        continue
                 aset, trace = annotate_example(example, dataset, config, adapter, prompt)
                 if cache is not None and not trace.failed:
                     cache.put(key, trace_record(trace, aset))

@@ -26,6 +26,7 @@ from spanagree.annotator import (
 )
 from spanagree.annotator import runner
 from spanagree.annotator.runner import CacheError, TraceCache
+from spanagree.grounding import GroundingReport
 from spanagree.ingest import load_dataset
 from spanagree.model import AnnotationSet, Dataset, Trace
 
@@ -76,12 +77,14 @@ class TestAnnotateExample:
         assert trace.raw_output == raw
 
     def test_malformed_exhausts_retries_and_flags_failed(self, dataset):
-        adapter = MockAdapter({"a": ["garbage", "more garbage", "still bad"]})
+        adapter = MockAdapter({"a": ["garbage", "more garbage", "<think>hmm</think> still bad"]})
         aset, trace = annotate_example(dataset["a"], dataset, config(), adapter)
         assert len(aset) == 0
         assert trace.failed is True
         assert trace.retries == 3
         assert adapter.calls == 3
+        # the failed trace keeps the reasoning of its last answered attempt
+        assert trace.reasoning == "hmm"
 
     def test_recovers_on_second_attempt(self, dataset):
         adapter = MockAdapter({"a": ["not json", reply([])]})
@@ -136,6 +139,19 @@ class TestAnnotateDataset:
             "c": ["junk", "junk", "junk"],
         })
 
+    def all_succeed(self):
+        return MockAdapter({
+            "a": [reply([{"reason": "", "text": "cat", "type": 0}])],
+            "b": [reply([])],
+            "c": [reply([{"reason": "", "text": "wrong", "type": 1}])],
+        })
+
+    def tamper(self, cache, change):
+        records = [json.loads(l) for l in cache.read_text().splitlines()]
+        for record in records:
+            change(record)
+        cache.write_text("".join(json.dumps(r) + "\n" for r in records))
+
     def test_fresh_run_covers_all_examples(self, dataset, tmp_path):
         adapter = self.full_mock()
         campaign = annotate_dataset(dataset, config(), adapter, tmp_path / "cache.jsonl")
@@ -165,15 +181,8 @@ class TestAnnotateDataset:
         assert adapter.calls == 4
 
     def test_torn_final_line_is_dropped_and_reannotated(self, dataset, tmp_path):
-        def all_succeed():
-            return MockAdapter({
-                "a": [reply([{"reason": "", "text": "cat", "type": 0}])],
-                "b": [reply([])],
-                "c": [reply([{"reason": "", "text": "wrong", "type": 1}])],
-            })
-
         cache = tmp_path / "cache.jsonl"
-        first = annotate_dataset(dataset, config(), all_succeed(), cache)
+        first = annotate_dataset(dataset, config(), self.all_succeed(), cache)
         lines = cache.read_bytes().splitlines(keepends=True)
         kept = b"".join(lines[:-1])
         cache.write_bytes(kept + lines[-1][: len(lines[-1]) // 2])
@@ -181,7 +190,7 @@ class TestAnnotateDataset:
         assert cache.read_bytes() == kept  # repaired before anything is appended
         assert torn_cache.get(json.loads(lines[-1])["key"]) is None
 
-        adapter = all_succeed()
+        adapter = self.all_succeed()
         resumed = annotate_dataset(dataset, config(), adapter, cache)
         assert adapter.calls == 1  # only the example whose record was torn
         assert dict(resumed.sets) == dict(first.sets)
@@ -204,10 +213,10 @@ class TestAnnotateDataset:
             annotate_dataset(dataset, config(), self.full_mock(), cache)
 
     @pytest.mark.parametrize("field, value", [
-        ("annotations", [{"start": 4, "end": 7}]),
-        ("annotations", [{"start": 4, "end": 7, "type": "0"}]),
-        ("annotations", [{"start": 7, "end": 4, "type": 0}]),
-        ("annotations", [{"start": 4, "end": 7, "type": 0, "surprise": 1}]),
+        ("raw_output", None),
+        ("raw_output", 7),
+        ("raw_output", {"annotations": []}),
+        ("latency_s", "0.5"),
         ("annotations", {"start": 4}),
         ("annotations", 7),
         ("usage", []),
@@ -215,27 +224,85 @@ class TestAnnotateDataset:
     def test_undecodable_record_raises_cache_error(self, dataset, tmp_path, field, value):
         cache = tmp_path / "cache.jsonl"
         annotate_dataset(dataset, config(), self.full_mock(), cache)
-        records = [json.loads(l) for l in cache.read_text().splitlines()]
-        for record in records:
-            if record["example_id"] == "a":
-                record[field] = value
-        cache.write_text("".join(json.dumps(r) + "\n" for r in records))
+        self.tamper(cache, lambda r: r["example_id"] == "a" and r.update({field: value}))
         with pytest.raises(CacheError, match=r"cache\.jsonl: the record for example 'a'"):
             annotate_dataset(dataset, config(), self.full_mock(), cache)
 
     def test_null_record_fields_read_as_their_defaults(self, dataset, tmp_path):
         cache = tmp_path / "cache.jsonl"
-        annotate_dataset(dataset, config(), self.full_mock(), cache)
-        records = [json.loads(l) for l in cache.read_text().splitlines()]
-        for record in records:
+        raw = "<think>the cat</think>" + reply([{"reason": "", "text": "cat", "type": 0}])
+        adapter = MockAdapter({"a": [raw], "b": [reply([])], "c": ["junk"]})
+        annotate_dataset(dataset, config(), adapter, cache)
+
+        def null_fields(record):
             if record["example_id"] == "a":
-                for field in ("model_id", "variant", "raw_output", "reasoning",
-                              "latency_s", "retries"):
+                for field in ("model_id", "variant", "reasoning", "latency_s", "retries"):
                     record[field] = None
                 record["usage"] = {"prompt_tokens": None, "completion_tokens": None}
-        cache.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+        self.tamper(cache, null_fields)
         resumed = annotate_dataset(dataset, config(), self.full_mock(), cache)
-        assert resumed.traces["a"] == Trace(example_id="a")
+        # the cache key pins model and variant; the reasoning is derived from the reply
+        assert resumed.traces["a"] == Trace("a", "test-model", "base", raw, "the cat")
+
+    def test_stored_spans_are_not_read(self, dataset, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cold = annotate_dataset(dataset, config(), self.all_succeed(), cache)
+        bad = [{"start": 7, "end": 4, "type": "0", "surprise": 1}]
+        self.tamper(cache, lambda r: r.update(annotations=bad))
+        adapter = self.all_succeed()
+        warm = annotate_dataset(dataset, config(), adapter, cache)
+        assert adapter.calls == 0
+        assert dict(warm.sets) == dict(cold.sets)
+        assert dict(warm.traces) == dict(cold.traces)
+
+    def test_grounding_change_reaches_cached_examples(self, dataset, tmp_path, monkeypatch):
+        cache = tmp_path / "cache.jsonl"
+        cold = annotate_dataset(dataset, config(), self.all_succeed(), cache)
+        assert any(len(s) for s in cold.sets.values())
+
+        def drop_every_span(raws, text):
+            return [], GroundingReport(dropped_unmatched=len(raws))
+
+        monkeypatch.setattr(runner, "ground_annotations", drop_every_span)
+        adapter = self.all_succeed()
+        warm = annotate_dataset(dataset, config(), adapter, cache)
+        assert adapter.calls == 0
+        assert dict(warm.sets) == {i: AnnotationSet(i) for i in ("a", "b", "c")}
+        assert dict(warm.traces) == dict(cold.traces)
+
+    def test_cached_reply_that_no_longer_derives_is_requested_again(
+        self, dataset, tmp_path, caplog
+    ):
+        cache = tmp_path / "cache.jsonl"
+        cold = annotate_dataset(dataset, config(), self.all_succeed(), cache)
+        self.tamper(cache, lambda r: r["example_id"] == "a" and r.update(raw_output="junk"))
+        lines = cache.read_text().splitlines()
+
+        adapter = self.all_succeed()
+        with caplog.at_level("WARNING", logger="spanagree.annotator.runner"):
+            resumed = annotate_dataset(dataset, config(), adapter, cache)
+        assert adapter.calls == 1
+        assert f"{cache}: the cached reply for example 'a'" in caplog.text
+        assert dict(resumed.sets) == dict(cold.sets)
+        appended = cache.read_text().splitlines()
+        assert appended[:-1] == lines
+        assert json.loads(appended[-1])["example_id"] == "a"
+
+        adapter = self.all_succeed()
+        annotate_dataset(dataset, config(), adapter, cache)
+        assert adapter.calls == 0
+
+    def test_constrained_mode_resumes_from_the_cache(self, dataset, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        constrained = config(schema_mode=SchemaMode.CONSTRAINED)
+        cold = annotate_dataset(dataset, constrained, self.all_succeed(), cache)
+        assert not cold.failed_ids()
+        adapter = self.all_succeed()
+        warm = annotate_dataset(dataset, constrained, adapter, cache)
+        assert adapter.calls == 0
+        assert dict(warm.sets) == dict(cold.sets)
+        assert dict(warm.traces) == dict(cold.traces)
 
     def test_cache_records_decode_to_the_annotated_sets(self, dataset, tmp_path):
         cache = tmp_path / "cache.jsonl"

@@ -291,17 +291,14 @@ class TestExitCodes:
         assert main(["annotate", "--config", str(path)]) == 3
         assert "line 1 is not a cache record" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("span", [
-        {"start": 0, "end": 3},
-        {"start": 0, "end": 3, "type": "0"},
-    ])
-    def test_undecodable_cache_span_exits_3(self, mock_config, capsys, span):
+    @pytest.mark.parametrize("field, value", [("raw_output", 7), ("usage", [])])
+    def test_unreadable_cache_record_exits_3(self, mock_config, capsys, field, value):
         path, _ = mock_config
         assert main(["annotate", "--config", str(path)]) == 0
         cache = path.parent / "cache.jsonl"
         records = [json.loads(l) for l in cache.read_text(encoding="utf-8").splitlines()]
         target = next(r for r in records if not r["failed"])
-        target["annotations"] = [span]
+        target[field] = value
         cache.write_text(
             "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
         )
