@@ -144,17 +144,6 @@ def _match(
     return total, match
 
 
-def _matching(pair: list[list[float]], penalty: float) -> tuple[float, list[tuple[int, int]]]:
-    """``_match`` on a full cost matrix with at least one row: the cost
-    and the sorted matched pairs."""
-    limit = 2.0 * penalty
-    useful = [
-        (i, j, cost) for i, row in enumerate(pair) for j, cost in enumerate(row) if cost < limit
-    ]
-    total, match = _match(len(pair), len(pair[0]), useful, penalty)
-    return total, sorted(match.items())
-
-
 def _as_units(annotations: Iterable[SpanAnnotation | Unit]) -> list[Unit]:
     """(start, end, category) triples; triples pass through, so a caller
     that has converted once can hand its units to the other entry points.
@@ -169,10 +158,14 @@ def _as_units(annotations: Iterable[SpanAnnotation | Unit]) -> list[Unit]:
     return units
 
 
-def _alignment_cost(a: Sequence[Unit], b: Sequence[Unit], cfg: DissimilarityConfig) -> float:
-    """Best-alignment cost of two non-empty unit lists, from their useful pairs."""
-    penalty = cfg.delta_empty
-    return _match(len(a), len(b), pair_costs(cfg)(a, b, 2.0 * penalty), penalty)[0]
+def _both_units(
+    left: Iterable[SpanAnnotation | Unit], right: Iterable[SpanAnnotation | Unit]
+) -> tuple[list[Unit], list[Unit]]:
+    """Both sides as units; neither may be empty."""
+    a, b = _as_units(left), _as_units(right)
+    if not a or not b:
+        raise ModelError("both annotation sets must be non-empty")
+    return a, b
 
 
 def alignment_cost(
@@ -180,11 +173,11 @@ def alignment_cost(
     right: Iterable[SpanAnnotation | Unit],
     cfg: DissimilarityConfig,
 ) -> float:
-    """Cost of the best alignment, without materializing its structure."""
-    a, b = _as_units(left), _as_units(right)
-    if not a or not b:
-        raise ModelError("both annotation sets must be non-empty")
-    return _alignment_cost(a, b, cfg)
+    """Cost of the best alignment, from the useful pairs only and without
+    materializing its structure."""
+    a, b = _both_units(left, right)
+    penalty = cfg.delta_empty
+    return _match(len(a), len(b), pair_costs(cfg)(a, b, 2.0 * penalty), penalty)[0]
 
 
 def best_alignment(
@@ -198,19 +191,21 @@ def best_alignment(
     list is returned (with "no further pairs" ordered before any pair),
     which makes the structure deterministic and input-order independent.
     """
-    a, b = _as_units(left), _as_units(right)
-    if not a or not b:
-        raise ModelError("both annotation sets must be non-empty")
+    a, b = _both_units(left, right)
     pair = pair_cost_matrix(a, b, cfg)
     penalty = cfg.delta_empty
-    c_star = _matching(pair, penalty)[0]
-    tol = _COST_RTOL * max(1.0, abs(c_star))
+    costs = pair_costs(cfg)
 
-    def sub(rows: list[int], cols: list[int]) -> list[list[float]]:
-        return [[pair[i][j] for j in cols] for i in rows]
+    def solve(rows: list[int], cols: list[int]) -> tuple[float, dict[int, int]]:
+        """``_match`` on the units ``a[rows]`` and ``b[cols]``; its
+        matching holds positions in ``rows`` and ``cols``."""
+        useful = costs([a[i] for i in rows], [b[j] for j in cols], 2.0 * penalty)
+        return _match(len(rows), len(cols), useful, penalty)
 
     rows = list(range(len(a)))
     cols = list(range(len(b)))
+    c_star = solve(rows, cols)[0]
+    tol = _COST_RTOL * max(1.0, abs(c_star))
     chosen: list[tuple[int, int]] = []
     fixed = 0.0
     while True:
@@ -222,14 +217,7 @@ def best_alignment(
         for i in rows:
             rest_rows = [r for r in rows if r != i]
             for j in cols:
-                rest_cols = [c for c in cols if c != j]
-                # A list matrix without rows has no width: the leftover
-                # columns each pay the penalty.
-                rest = (
-                    _matching(sub(rest_rows, rest_cols), penalty)[0]
-                    if rest_rows
-                    else penalty * len(rest_cols)
-                )
+                rest = solve(rest_rows, [c for c in cols if c != j])[0]
                 if fixed + pair[i][j] + rest <= c_star + tol:
                     found = (i, j)
                     break
@@ -237,9 +225,7 @@ def best_alignment(
                 break
         if found is None:
             # fp safety net: adopt the solver's matching on the remainder
-            if rows:
-                _, sub_pairs = _matching(sub(rows, cols), penalty)
-                chosen.extend((rows[si], cols[sj]) for si, sj in sub_pairs)
+            chosen.extend((rows[si], cols[sj]) for si, sj in solve(rows, cols)[1].items())
             matched_l = {i for i, _ in chosen}
             matched_r = {j for _, j in chosen}
             rows = [r for r in rows if r not in matched_l]
@@ -263,9 +249,7 @@ def oracle_best_alignment(
     Enumerates every partial injective pairing (at most 6 units per
     side), applying the same objective and tie rule.
     """
-    a, b = _as_units(left), _as_units(right)
-    if not a or not b:
-        raise ModelError("both annotation sets must be non-empty")
+    a, b = _both_units(left, right)
     if len(a) > ORACLE_LIMIT or len(b) > ORACLE_LIMIT:
         raise ModelError(f"oracle handles at most {ORACLE_LIMIT} annotations per side")
 
@@ -320,10 +304,8 @@ def observed_disorder(
     cfg: DissimilarityConfig,
 ) -> float:
     """Best-alignment cost divided by the average unit count."""
-    a, b = _as_units(left), _as_units(right)
-    if not a or not b:
-        raise ModelError("both annotation sets must be non-empty")
-    return _alignment_cost(a, b, cfg) / ((len(a) + len(b)) / 2.0)
+    a, b = _both_units(left, right)
+    return alignment_cost(a, b, cfg) / ((len(a) + len(b)) / 2.0)
 
 
 def _child_rng(seed: int, example_id: str) -> random.Random:
@@ -363,11 +345,21 @@ def _resamples(
         yield left, right
 
 
-def _expected_disorder(
-    a: list[Unit], b: list[Unit], text_length: int, cfg: GammaConfig, example_id: str
+def expected_disorder(
+    left: Iterable[SpanAnnotation | Unit],
+    right: Iterable[SpanAnnotation | Unit],
+    text_length: int,
+    cfg: GammaConfig,
+    example_id: str = "",
 ) -> float:
-    """Mean alignment cost per unit over cfg.n_samples ``_resamples`` of
-    both non-empty sides, each scored from its useful pairs only."""
+    """Mean disorder over cfg.n_samples seeded ``_resamples`` of both
+    sides, each scored from its useful pairs only.
+
+    Deterministic given (inputs, cfg.seed, example_id); each example
+    gets an independent child generator so parallel scoring order never
+    changes results.
+    """
+    a, b = _both_units(left, right)
     if text_length <= 0:
         raise ModelError("text_length must be positive")
     for start, end, _ in a + b:
@@ -385,25 +377,6 @@ def _expected_disorder(
     for _, (left, right) in zip(range(cfg.n_samples), samples):
         total += _match(n, m, costs(left, right, limit), penalty)[0] / avg_count
     return total / cfg.n_samples
-
-
-def expected_disorder(
-    left: Iterable[SpanAnnotation | Unit],
-    right: Iterable[SpanAnnotation | Unit],
-    text_length: int,
-    cfg: GammaConfig,
-    example_id: str = "",
-) -> float:
-    """Mean disorder over seeded random repositionings of both sides.
-
-    Deterministic given (inputs, cfg.seed, example_id); each example
-    gets an independent child generator so parallel scoring order never
-    changes results.
-    """
-    a, b = _as_units(left), _as_units(right)
-    if not a or not b:
-        raise ModelError("both annotation sets must be non-empty")
-    return _expected_disorder(a, b, text_length, cfg, example_id)
 
 
 def gamma_score(
@@ -424,10 +397,10 @@ def gamma_score(
     a, b = _as_units(left), _as_units(right)
     if not a or not b:
         return None
-    obs = _alignment_cost(a, b, cfg.dissimilarity) / ((len(a) + len(b)) / 2.0)
+    obs = observed_disorder(a, b, cfg.dissimilarity)
     if obs == 0.0:
         return 1.0
-    exp = _expected_disorder(a, b, text_length, cfg, example_id)
+    exp = expected_disorder(a, b, text_length, cfg, example_id)
     if exp <= 0.0:
         logger.warning(
             "zero expected disorder for example %r; skipping gamma", example_id

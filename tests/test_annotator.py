@@ -27,7 +27,7 @@ from spanagree.annotator import (
 from spanagree.annotator import runner
 from spanagree.annotator.runner import CacheError, TraceCache
 from spanagree.grounding import GroundingReport
-from spanagree.ingest import load_dataset
+from spanagree.ingest import ParseError, load_dataset
 from spanagree.model import AnnotationSet, Dataset, Trace
 
 from conftest import make_dataset, write_bundled_categories
@@ -577,6 +577,23 @@ def fake_chat_server(monkeypatch):
     yield f"http://127.0.0.1:{server.server_port}/v1"
     server.shutdown()
     server.server_close()
+
+
+class TestMockAdapter:
+    def test_repeated_example_id_raises(self, tmp_path):
+        path = tmp_path / "replies.jsonl"
+        lines = [{"example_id": "a", "reply": "first"}, {"example_id": "a", "reply": "second"}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(
+            ParseError, match=r":2: duplicate example_id 'a' \(first seen on line 1\)"
+        ):
+            MockAdapter.from_jsonl(path)
+
+        lines[1]["example_id"] = "b"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        mock = MockAdapter.from_jsonl(path)
+        assert mock.complete("p", DecodingParams(), request_id="a").text == "first"
+        assert mock.complete("p", DecodingParams(), request_id="b").text == "second"
 
 
 class TestDecodingParams:
