@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import threading
 from collections import deque
 from pathlib import Path
@@ -90,8 +91,11 @@ class TraceCache:
     by prompt hash.
 
     Every record is appended together with its newline, so a final line
-    without one was cut short by a kill mid-append. Loading truncates
-    that line away and its example is annotated again; a malformed
+    without one was cut short by a kill mid-append. A load keeps the
+    last success of each key. After reading any other line (torn, blank,
+    failed or superseded), it renames a rewrite of the kept records over
+    the file. That would drop the appends of a second run on the same
+    file, so one run at a time may use a cache file. A malformed
     complete line raises CacheError, and so does a record with a missing
     reply or a field of the wrong type when it is looked up.
     """
@@ -104,30 +108,30 @@ class TraceCache:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if not self.path.exists():
             return
-        kept = 0
-        torn = b""
+        number = 0
         with open(self.path, "rb") as handle:
             for number, line in enumerate(handle, start=1):
                 if not line.endswith(b"\n"):
-                    torn = line
+                    logger.warning(
+                        "%s: dropping a torn final line of %d bytes", self.path, len(line)
+                    )
                     break
-                kept += len(line)
                 if not line.strip():
                     continue
                 try:
                     record = decode_json(line)
-                    self._records[record["key"]] = record
-                except (ValueError, KeyError, TypeError) as exc:
+                    if not record.get("failed"):
+                        self._records[record["key"]] = record
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
                     raise CacheError(
                         f"{self.path}: line {number} is not a cache record ({exc}); "
                         "remove the line or the file to re-annotate"
                     ) from exc
-        if torn:
-            logger.warning(
-                "%s: dropping a torn final line of %d bytes", self.path, len(torn)
-            )
-            with open(self.path, "r+b") as handle:
-                handle.truncate(kept)
+        if number != len(self._records):
+            tmp = self.path.with_name(self.path.name + ".tmp")
+            lines = [json.dumps(r, ensure_ascii=False) + "\n" for r in self._records.values()]
+            tmp.write_text("".join(lines), encoding="utf-8", newline="\n")
+            os.replace(tmp, self.path)
 
     def get(self, key: str) -> dict | None:
         """The record stored under key when the cache was opened.
@@ -265,10 +269,10 @@ def annotate_example(
     return aset, trace
 
 
-# A cache record is a trace_record plus its key. Its spans are derived
-# again from raw_output on every hit, so the stored annotations are not
-# read; every field but raw_output has a default, so records written
-# before a field existed load.
+# A cache record holds its key, what a hit reads and the example id that a
+# CacheError names; every hit derives the spans from raw_output again. Older
+# records are whole trace_records, so their other keys stay optional.
+_CACHE_FIELDS = ("example_id", "raw_output", "latency_s", "usage", "retries")
 _RECORD_KEYS = {"raw_output": str}
 _RECORD_OPTIONAL_KEYS = {
     **dict.fromkeys(("key", "example_id", "model_id", "variant", "reasoning"), str),
@@ -323,11 +327,12 @@ def annotate_dataset(
 ) -> Campaign:
     """Annotate every example, reusing cached successes.
 
-    config.concurrency_limit workers take the examples in id order, one
-    at a time; the resulting campaign is assembled in example-id order,
-    so its content is independent of completion order. Transport-dead
-    examples are flagged failed rather than aborting the run. Any other
-    error, or a Ctrl-C, stops the run once the examples in flight finish.
+    config.concurrency_limit workers, or one per example if there are
+    fewer, take the examples in id order, one at a time; the campaign is
+    assembled in example-id order, so its content is independent of
+    completion order. Transport-dead examples are flagged failed rather
+    than aborting the run. Any other error, or a Ctrl-C, stops the run
+    once the examples in flight finish.
     """
     # Imported here, so that importing the package does not load it; only a run uses it.
     from concurrent.futures import ThreadPoolExecutor
@@ -355,24 +360,25 @@ def annotate_dataset(
                 )
                 key = cache_key(config, prompt)
                 cached = cache.get(key) if cache is not None else None
-                # Caches written before failures were left out hold failed records.
-                if cached is not None and not cached.get("failed"):
+                if cached is not None:
                     hit = _from_record(example, cached, dataset, config, cache.path)
                     if hit is not None:
                         results[example.id] = hit
                         continue
                 aset, trace = annotate_example(example, dataset, config, adapter, prompt)
                 if cache is not None and not trace.failed:
-                    cache.put(key, trace_record(trace, aset))
+                    record = trace_record(trace, aset)
+                    cache.put(key, {field: record[field] for field in _CACHE_FIELDS})
                 results[example.id] = aset, trace
         except BaseException:
             queue.clear()
             raise
 
+    n_workers = max(1, min(config.concurrency_limit, len(examples)))
     try:
-        with ThreadPoolExecutor(max_workers=config.concurrency_limit) as pool:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
             try:
-                workers = [pool.submit(work) for _ in range(config.concurrency_limit)]
+                workers = [pool.submit(work) for _ in range(n_workers)]
                 for worker in workers:
                     worker.result()
             finally:

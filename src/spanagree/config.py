@@ -48,8 +48,14 @@ class DecodingParams:
     seed: int | None = 42
 
     def __post_init__(self):
-        if not math.isfinite(self.temperature):
+        # Stored as a float, so that equal settings (0 and 0.0) key the cache alike.
+        try:
+            temperature = float(self.temperature)
+        except OverflowError:  # an int beyond the float range
+            temperature = math.inf
+        if not math.isfinite(temperature):
             raise ValueError(f"temperature must be finite, got {self.temperature}")
+        object.__setattr__(self, "temperature", temperature)
 
 
 @dataclass(frozen=True)

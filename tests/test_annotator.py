@@ -292,6 +292,9 @@ class TestAnnotateDataset:
         adapter = self.all_succeed()
         annotate_dataset(dataset, config(), adapter, cache)
         assert adapter.calls == 0
+        # that load dropped the superseded record of "a"
+        final = cache.read_text().splitlines()
+        assert len(final) == 3 and set(final) == set(appended) - {lines[0]}
 
     def test_constrained_mode_resumes_from_the_cache(self, dataset, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -318,6 +321,81 @@ class TestAnnotateDataset:
         resumed = annotate_dataset(dataset, config(), self.full_mock(), cache)
         assert dict(resumed.sets) == dict(first.sets)
         assert dict(resumed.traces) == dict(first.traces)
+
+    def test_records_hold_only_what_a_hit_reads(self, dataset, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        annotate_dataset(dataset, config(), self.full_mock(), cache)
+        records = [json.loads(l) for l in cache.read_text().splitlines()]
+        assert [r["example_id"] for r in records] == ["a", "b"]
+        for record in records:
+            assert list(record) == [
+                "key", "example_id", "raw_output", "latency_s", "usage", "retries",
+            ]
+
+    def test_load_keeps_one_line_per_key(self, dataset, tmp_path, caplog):
+        cache = tmp_path / "cache.jsonl"
+        cold = annotate_dataset(dataset, config(), self.all_succeed(), cache)
+        canonical = cache.read_bytes()
+        a, b, c = [json.loads(l) for l in canonical.splitlines()]
+        superseded = {**a, "raw_output": "junk"}
+        # the whole trace_record an older version cached for a failure
+        failed = {**trace_record(cold.traces["c"], AnnotationSet("c")), "key": c["key"]}
+        failed.update(raw_output="junk", failed=True)
+        head = "".join(json.dumps(r) + "\n" for r in (superseded, failed))
+        cache.write_bytes(head.encode() + canonical + b'{"key": "torn')
+        with caplog.at_level("WARNING", logger="spanagree.annotator.runner"):
+            TraceCache(cache)
+        assert "dropping a torn final line of 13 bytes" in caplog.text
+        assert cache.read_bytes() == canonical
+        assert not cache.with_name("cache.jsonl.tmp").exists()
+
+        adapter = self.all_succeed()
+        warm = annotate_dataset(dataset, config(), adapter, cache)
+        assert adapter.calls == 0
+        assert dict(warm.sets) == dict(cold.sets)
+
+    def test_load_leaves_a_canonical_file_alone(self, dataset, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        annotate_dataset(dataset, config(), self.all_succeed(), cache)
+        canonical = cache.read_bytes()
+        os.utime(cache, ns=(10**18, 10**18))
+        adapter = self.all_succeed()
+        annotate_dataset(dataset, config(), adapter, cache)
+        assert adapter.calls == 0
+        assert cache.read_bytes() == canonical
+        assert cache.stat().st_mtime_ns == 10**18
+        assert not cache.with_name("cache.jsonl.tmp").exists()
+
+    def test_leftover_temporary_file_does_not_break_a_load(self, dataset, tmp_path):
+        # a kill between writing the rewrite and renaming it leaves both files
+        cache = tmp_path / "cache.jsonl"
+        annotate_dataset(dataset, config(), self.all_succeed(), cache)
+        canonical = cache.read_bytes()
+        leftover = cache.with_name("cache.jsonl.tmp")
+        leftover.write_bytes(canonical[: len(canonical) // 2])
+        adapter = self.all_succeed()
+        annotate_dataset(dataset, config(), adapter, cache)
+        assert adapter.calls == 0 and cache.read_bytes() == canonical
+
+        cache.write_bytes(canonical + b"\n")  # a blank line: the load rewrites
+        TraceCache(cache)
+        assert cache.read_bytes() == canonical and not leftover.exists()
+
+    def test_whole_trace_records_of_older_versions_resume(self, dataset, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cold = annotate_dataset(dataset, config(), self.all_succeed(), cache)
+        keys = {r["example_id"]: r["key"] for r in map(json.loads, cache.read_text().splitlines())}
+        fat = "".join(
+            json.dumps({"key": keys[i], **trace_record(cold.traces[i], cold.sets[i])}) + "\n"
+            for i in ("a", "b", "c")
+        )
+        cache.write_text(fat)
+        adapter = self.all_succeed()
+        warm = annotate_dataset(dataset, config(), adapter, cache)
+        assert adapter.calls == 0
+        assert dict(warm.sets) == dict(cold.sets)
+        assert dict(warm.traces) == dict(cold.traces)
+        assert cache.read_text() == fat  # not slimmed: only a dropped line rewrites
 
     def test_cache_directory_created_on_open(self, tmp_path):
         path = tmp_path / "nested" / "dir" / "cache.jsonl"
@@ -524,6 +602,31 @@ except KeyboardInterrupt:
         records = cache.read_text(encoding="utf-8").splitlines()
         assert len(records) == (6 if error is None else 5)
 
+    def test_no_more_workers_than_examples(self, dataset, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        barrier = threading.Barrier(3, timeout=5.0)
+
+        class AllInFlight(MockAdapter):
+            # every example waits until all three are in flight
+            def complete(self, prompt, decoding, schema=None, request_id=""):
+                barrier.wait()
+                return super().complete(prompt, decoding, schema, request_id)
+
+        adapter = AllInFlight({i: [reply([])] for i in ("a", "b", "c")})
+        campaign = annotate_dataset(dataset, config(concurrency_limit=8), adapter)
+        assert len(campaign) == 3 and not campaign.failed_ids()
+        assert len(started) == 3
+
+        empty = annotate_dataset(make_dataset({}), config(concurrency_limit=8), adapter)
+        assert len(empty) == 0
+
     def test_works_without_cache(self, dataset):
         campaign = annotate_dataset(dataset, config(), self.full_mock())
         assert len(campaign) == 3
@@ -597,7 +700,7 @@ class TestMockAdapter:
 
 
 class TestDecodingParams:
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
     def test_non_finite_temperature_rejected(self, value):
         with pytest.raises(ValueError, match="temperature must be finite"):
             DecodingParams(temperature=value)

@@ -134,6 +134,19 @@ class TestConfigLoading:
             "158624b6fb65c7ca8caac08201144708e7d1c09736706f45497ed7c2814b4d09"
         )
 
+    def test_integer_temperature_keys_like_the_default(self, tmp_path):
+        keys = []
+        for extra in ({}, {"temperature": 0}, {"temperature": 0.0}):
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps({
+                "corpus": "x", "categories": "y", "output_dir": "z",
+                "annotator": {"model_id": "m", **extra},
+            }))
+            config = load_run_config(path)
+            assert type(config.annotator.decoding.temperature) is float
+            keys.append(cache_key(config.annotator, "prompt"))
+        assert len(set(keys)) == 1
+
     def test_unknown_variant_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
@@ -297,7 +310,7 @@ class TestExitCodes:
         assert main(["annotate", "--config", str(path)]) == 0
         cache = path.parent / "cache.jsonl"
         records = [json.loads(l) for l in cache.read_text(encoding="utf-8").splitlines()]
-        target = next(r for r in records if not r["failed"])
+        target = records[0]
         target[field] = value
         cache.write_text(
             "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
