@@ -68,23 +68,16 @@ class MockAdapter:
         (a single "reply" string is also accepted); a malformed line or a
         repeated example_id raises ParseError."""
         replies: dict[str, list[str]] = {}
-        seen: dict[str, int] = {}
-        rows = read_jsonl(Path(path), {"example_id": str}, {"replies": list, "reply": str})
+        rows = read_jsonl(
+            Path(path), "example_id", {"example_id": str}, {"replies": list, "reply": str}
+        )
         for lineno, row in rows:
             items = row.get("replies") or [row.get("reply")]
             if not all(isinstance(item, str) for item in items):
                 raise ParseError(
                     path, lineno, "needs a non-empty 'replies' list of strings or a 'reply'"
                 )
-            example_id = row["example_id"]
-            if example_id in seen:
-                raise ParseError(
-                    path,
-                    lineno,
-                    f"duplicate example_id {example_id!r} (first seen on line {seen[example_id]})",
-                )
-            seen[example_id] = lineno
-            replies[example_id] = items
+            replies[row["example_id"]] = items
         return cls(replies)
 
     def complete(

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-# fewshot_from_config is imported only to keep its old import path.
-from ..config import FewshotExample, PromptVariant, TemplateError, fewshot_from_config
+from ..config import FewshotExample, PromptVariant, TemplateError
 from ..model import CategorySet, Example
 
 _FIELD_LISTS = {

@@ -15,21 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-# The config types are re-exported here, where callers have imported them from.
-from .config import (
-    AnnotatorConfig,
-    ConfigError,
-    DecodingParams,
-    DissimilarityConfig,
-    GammaConfig,
-    PromptVariant,
-    ProviderSettings,
-    RunConfig,
-    SchemaMode,
-    TemplateError,
-    fewshot_from_config,
-    load_run_config,
-)
+from .config import ConfigError, ProviderSettings, RunConfig, TemplateError, load_run_config
 from .ingest import IngestError, export_campaign, load_campaign, load_dataset
 from .model import Campaign, Dataset, ModelError
 

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .model import (
     AnnotationSet,
@@ -92,26 +92,37 @@ def check_object(obj: Any, required: KeyTypes, optional: KeyTypes, where: str) -
         )
 
 
-class _TooDeep(json.JSONDecodeError):
-    """Input nested too deeply for the decoder, which does not say where
-    it gave up; so the message carries no position."""
+class _Unplaced(json.JSONDecodeError):
+    """Invalid JSON that the decoder does not place: input nested too
+    deeply, or a lone surrogate escape; so the message carries no
+    position."""
 
-    def __init__(self):
-        super().__init__("nested too deeply", "", 0)
+    def __init__(self, msg: str):
+        super().__init__(msg, "", 0)
 
     def __str__(self) -> str:
         return self.msg
 
 
 def decode_json(data: str | bytes) -> Any:
-    """``json.loads``, except that input nested too deeply for the decoder
-    raises JSONDecodeError, like any other invalid JSON, instead of
-    RecursionError. Its message names no position: a caller reports
-    ``str(exc)``, or the line of a JSONL record."""
+    """``json.loads``, except that two more inputs raise JSONDecodeError,
+    like any other invalid JSON: input nested too deeply for the decoder
+    (RecursionError in ``json.loads``), and a lone surrogate escape such
+    as ``\\ud800``, which ``json.loads`` takes but no UTF-8 file can hold.
+    Their message names no position: a caller reports ``str(exc)``, or the
+    line of a JSONL record."""
     try:
-        return json.loads(data)
+        value = json.loads(data)
     except RecursionError:
-        raise _TooDeep() from None
+        raise _Unplaced("nested too deeply") from None
+    marks = (b"\\ud", b"\\uD") if isinstance(data, bytes) else ("\\ud", "\\uD")
+    if marks[0] in data or marks[1] in data:
+        try:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            char = exc.object[exc.start]
+            raise _Unplaced(f"lone surrogate escape \\u{ord(char):04x}") from None
+    return value
 
 
 def load_category_file(path: str | Path) -> CategoryFile:
@@ -165,26 +176,41 @@ def bundled_category_file(task: str) -> CategoryFile:
         return load_category_file(path)
 
 
-def read_jsonl(path: Path, required: KeyTypes, optional: KeyTypes) -> list[tuple[int, dict]]:
-    """(line number, record) for every non-blank line of a JSONL file,
-    each record checked by check_object."""
-    rows = []
+def _lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, text without its line break) for every non-blank
+    line of a UTF-8 file; raises ParseError at the first line that is not
+    UTF-8."""
     with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             try:
                 text = line.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ParseError(path, lineno, f"not UTF-8 at byte {exc.start}") from exc
-            if not text.strip():
-                continue
-            try:
-                row = decode_json(text)
-                check_object(row, required, optional, "line")
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, lineno, f"invalid JSON: {exc.msg}") from exc
-            except IngestError as exc:
-                raise ParseError(path, lineno, str(exc)) from exc
-            rows.append((lineno, row))
+            if text.strip():
+                yield lineno, text.rstrip("\r\n")
+
+
+def read_jsonl(
+    path: Path, id_key: str, required: KeyTypes, optional: KeyTypes
+) -> list[tuple[int, dict]]:
+    """(line number, record) for every non-blank line of a JSONL file,
+    each record checked by check_object and no two with the same id_key."""
+    rows = []
+    first_line: dict[str, int] = {}
+    for lineno, text in _lines(path):
+        try:
+            row = decode_json(text)
+            check_object(row, required, optional, "line")
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, lineno, f"invalid JSON: {exc.msg}") from exc
+        except IngestError as exc:
+            raise ParseError(path, lineno, str(exc)) from exc
+        first = first_line.setdefault(row[id_key], lineno)
+        if first != lineno:
+            raise ParseError(
+                path, lineno, f"duplicate {id_key} {row[id_key]!r} (first seen on line {first})"
+            )
+        rows.append((lineno, row))
     return rows
 
 
@@ -197,9 +223,8 @@ def load_dataset(corpus_path: str | Path, category_path: str | Path) -> Dataset:
     corpus_path = Path(corpus_path)
     schema = load_category_file(category_path)
     examples = []
-    seen: dict[str, int] = {}
     for lineno, row in read_jsonl(
-        corpus_path, {"id": str, "text": str}, {"source": str, "task": str, "metadata": dict}
+        corpus_path, "id", {"id": str, "text": str}, {"source": str, "task": str, "metadata": dict}
     ):
         task = schema.task if row.get("task") is None else row["task"]
         if task != schema.task:
@@ -208,18 +233,10 @@ def load_dataset(corpus_path: str | Path, category_path: str | Path) -> Dataset:
                 lineno,
                 f"example task {task!r} does not match category file task {schema.task!r}",
             )
-        example_id = row["id"]
-        if example_id in seen:
-            raise ParseError(
-                corpus_path,
-                lineno,
-                f"duplicate id {example_id!r} (first seen on line {seen[example_id]})",
-            )
-        seen[example_id] = lineno
         try:
             examples.append(
                 Example(
-                    id=example_id,
+                    id=row["id"],
                     text=row["text"],
                     source=row.get("source"),
                     task=task,
@@ -230,15 +247,12 @@ def load_dataset(corpus_path: str | Path, category_path: str | Path) -> Dataset:
             raise ParseError(corpus_path, lineno, str(exc)) from exc
     # keyed by id, so permuting corpus lines yields an equal Dataset
     examples.sort(key=lambda ex: ex.id)
-    try:
-        return Dataset(
-            examples=tuple(examples),
-            categories=schema.categories,
-            guidelines=schema.guidelines,
-            no_overlap=schema.no_overlap,
-        )
-    except ModelError as exc:
-        raise IngestError(f"{corpus_path}: {exc}") from exc
+    return Dataset(
+        examples=tuple(examples),
+        categories=schema.categories,
+        guidelines=schema.guidelines,
+        no_overlap=schema.no_overlap,
+    )
 
 
 def annotation_to_dict(a: SpanAnnotation) -> dict:
@@ -293,6 +307,34 @@ def export_campaign(campaign: Campaign, path: str | Path) -> None:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+def _check_span(ann: SpanAnnotation, example: Example, k: int) -> SpanAnnotation:
+    """The span, once it lies inside the example's text and its category
+    is below k; raises IngestError otherwise."""
+    if ann.end > len(example.text):
+        raise IngestError(
+            f"span [{ann.start}, {ann.end}) exceeds text length {len(example.text)} "
+            f"of example {example.id!r}"
+        )
+    if ann.category >= k:
+        raise IngestError(f"category {ann.category} out of range for k={k}")
+    return ann
+
+
+def _span_set(example_id: str, spans: list[SpanAnnotation], no_overlap: bool) -> AnnotationSet:
+    """One example's checked spans, sorted; in a no-overlap task, raises
+    IngestError when two of them overlap."""
+    spans.sort(key=lambda a: a.sort_key)
+    if no_overlap:
+        last_end = 0
+        for ann in spans:
+            if ann.start < last_end:
+                raise IngestError(
+                    f"overlapping annotations in a no-overlap task (example {example_id!r})"
+                )
+            last_end = max(last_end, ann.end)
+    return AnnotationSet(example_id, tuple(spans))
+
+
 def load_campaign(path: str | Path, dataset: Dataset) -> Campaign:
     """Load a campaign JSONL file and validate it against the dataset."""
     path = Path(path)
@@ -300,11 +342,10 @@ def load_campaign(path: str | Path, dataset: Dataset) -> Campaign:
     traces: dict[str, Trace] = {}
     annotator_id: str | None = None
     for lineno, row in read_jsonl(
-        path, {"example_id": str, "annotator_id": str, "annotations": list}, {"failed": bool}
+        path, "example_id", {"example_id": str, "annotator_id": str, "annotations": list},
+        {"failed": bool},
     ):
         example_id = row["example_id"]
-        if example_id in sets:
-            raise ParseError(path, lineno, f"duplicate example {example_id!r}")
         if example_id not in dataset:
             raise ParseError(path, lineno, f"unknown example {example_id!r}")
         if annotator_id is None:
@@ -315,38 +356,15 @@ def load_campaign(path: str | Path, dataset: Dataset) -> Campaign:
                 lineno,
                 f"mixed annotator ids: {row['annotator_id']!r} vs {annotator_id!r}",
             )
-        text = dataset[example_id].text
-        annotations = []
-        for pos, obj in enumerate(row["annotations"]):
-            try:
-                ann = annotation_from_dict(obj, f"annotation {pos}")
-            except IngestError as exc:
-                raise ParseError(path, lineno, str(exc)) from exc
-            if ann.end > len(text):
-                raise ParseError(
-                    path,
-                    lineno,
-                    f"span [{ann.start}, {ann.end}) exceeds text length {len(text)} "
-                    f"of example {example_id!r}",
-                )
-            if ann.category >= dataset.k:
-                raise ParseError(
-                    path, lineno, f"category {ann.category} out of range for k={dataset.k}"
-                )
-            annotations.append(ann)
-        annotations.sort(key=lambda a: a.sort_key)
-        if dataset.no_overlap:
-            last_end = 0
-            for ann in annotations:
-                if ann.start < last_end:
-                    raise ParseError(
-                        path,
-                        lineno,
-                        f"overlapping annotations in a no-overlap task "
-                        f"(example {example_id!r})",
-                    )
-                last_end = max(last_end, ann.end)
-        sets[example_id] = AnnotationSet(example_id, tuple(annotations))
+        example = dataset[example_id]
+        try:
+            spans = [
+                _check_span(annotation_from_dict(obj, f"annotation {pos}"), example, dataset.k)
+                for pos, obj in enumerate(row["annotations"])
+            ]
+            sets[example_id] = _span_set(example_id, spans, dataset.no_overlap)
+        except IngestError as exc:
+            raise ParseError(path, lineno, str(exc)) from exc
         if row.get("failed"):
             traces[example_id] = Trace(example_id=example_id, failed=True)
     return Campaign(annotator_id=annotator_id or path.stem, sets=sets, traces=traces)
@@ -359,43 +377,30 @@ def import_offset_tsv(
 
     Offsets in the source files are already 0-based and end-exclusive,
     so no conversion is applied. Technique names map to category indices
-    through the dataset's category names. Every dataset example gets a
-    set; examples with no rows come out empty.
+    through the dataset's category names, and the spans pass the checks
+    of load_campaign, the no-overlap rule included. Every dataset example
+    gets a set; examples with no rows come out empty.
     """
     path = Path(path)
     spans: dict[str, list[SpanAnnotation]] = {ex.id: [] for ex in dataset.examples}
-    with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            try:
-                line = raw.decode("utf-8").rstrip("\r\n")
-            except UnicodeDecodeError as exc:
-                raise ParseError(path, lineno, f"not UTF-8 at byte {exc.start}") from exc
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ParseError(path, lineno, f"expected 4 fields, got {len(fields)}")
-            article_id, technique, start_str, end_str = fields
-            if article_id not in dataset:
-                raise ParseError(path, lineno, f"unknown article {article_id!r}")
-            try:
-                category = dataset.categories.by_name(technique)
-            except ModelError as exc:
-                raise ParseError(path, lineno, str(exc)) from exc
-            try:
-                start, end = int(start_str), int(end_str)
-            except ValueError as exc:
-                raise ParseError(path, lineno, f"non-integer offsets: {exc}") from exc
-            text = dataset[article_id].text
-            if not (0 <= start < end <= len(text)):
-                raise ParseError(
-                    path, lineno, f"span [{start}, {end}) invalid for text of length {len(text)}"
-                )
-            spans[article_id].append(SpanAnnotation(start, end, category.index))
-    sets = {
-        example_id: AnnotationSet(
-            example_id, tuple(sorted(items, key=lambda a: a.sort_key))
-        )
-        for example_id, items in spans.items()
-    }
+    for lineno, line in _lines(path):
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise ParseError(path, lineno, f"expected 4 fields, got {len(fields)}")
+        article_id, technique, start, end = fields
+        if article_id not in dataset:
+            raise ParseError(path, lineno, f"unknown article {article_id!r}")
+        try:
+            start, end = int(start), int(end)
+        except ValueError as exc:
+            raise ParseError(path, lineno, f"non-integer offsets: {exc}") from exc
+        try:
+            ann = SpanAnnotation(start, end, dataset.categories.by_name(technique).index)
+            spans[article_id].append(_check_span(ann, dataset[article_id], dataset.k))
+        except (IngestError, ModelError) as exc:
+            raise ParseError(path, lineno, str(exc)) from exc
+    try:
+        sets = {eid: _span_set(eid, items, dataset.no_overlap) for eid, items in spans.items()}
+    except IngestError as exc:
+        raise IngestError(f"{path}: {exc}") from exc
     return Campaign(annotator_id=annotator_id, sets=sets)

@@ -30,7 +30,7 @@ from spanagree.grounding import GroundingReport
 from spanagree.ingest import ParseError, load_dataset
 from spanagree.model import AnnotationSet, Dataset, Trace
 
-from conftest import make_dataset, write_bundled_categories
+from conftest import make_dataset, write_bundled_categories, write_run_config
 
 
 def reply(items) -> str:
@@ -814,3 +814,24 @@ class TestOpenAIChatAdapter:
         adapter = stub_adapter(json.dumps(body).encode())
         aset, trace = annotate_example(dataset["a"], dataset, config(max_retries=2), adapter)
         assert len(aset) == 0 and trace.failed is True and trace.retries == 2
+
+    def test_lone_surrogate_in_body_is_a_failed_attempt(
+        self, stub_adapter, fake_chat_server, dataset, tmp_path, capsys
+    ):
+        from spanagree.cli import main
+
+        # json.dumps writes the lone surrogate as the escape \ud800
+        body = {"choices": [{"message": {"content": reply([]) + " \ud800"}}]}
+        stub_adapter(json.dumps(body).encode())
+        run = write_run_config(
+            tmp_path, tmp_path / "corpus.jsonl", tmp_path / "categories_d2t.json", {},
+            annotator={"model_id": "m", "max_retries": 2, "provider": {
+                "kind": "openai", "base_url": fake_chat_server,
+                "api_key_env": "SPANAGREE_TEST_KEY",
+            }},
+        )
+        assert main(["annotate", "--config", str(run)]) == 0
+        assert "failed: 3 (a, b, c)" in capsys.readouterr().out
+        assert len(_FakeChatHandler.requests) == 6
+        traces = (tmp_path / "out" / "traces.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["retries"] for line in traces] == [2, 2, 2]

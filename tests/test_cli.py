@@ -353,6 +353,34 @@ class TestExitCodes:
                      id="evaluate-corpus.jsonl-too-deep"),
         pytest.param("evaluate", "run.json", None, b"[" * 100_000, "nested too deeply",
                      id="evaluate-run.json-too-deep"),
+        pytest.param("annotate", "corpus.jsonl", "text", "bad \ud800 text here",
+                     "lone surrogate escape \\ud800", id="annotate-corpus.jsonl-text-surrogate"),
+        pytest.param("annotate", "categories.json", "guidelines", "hints \udc00",
+                     "lone surrogate escape \\udc00",
+                     id="annotate-categories.json-guidelines-surrogate"),
+        pytest.param("evaluate", "gold.jsonl", "annotator_id", "gold \ud800",
+                     "lone surrogate escape \\ud800",
+                     id="evaluate-gold.jsonl-annotator_id-surrogate"),
+        pytest.param("annotate", "replies.jsonl", "replies", ["{} \ud800"],
+                     "lone surrogate escape \\ud800",
+                     id="annotate-replies.jsonl-replies-surrogate"),
+        pytest.param("annotate", "run.json", "output_dir", "out \ud800",
+                     "lone surrogate escape \\ud800", id="annotate-run.json-output_dir-surrogate"),
+        pytest.param("evaluate", "categories.json", "categories", [],
+                     "categories must be a non-empty list", id="evaluate-categories.json-empty"),
+        pytest.param("evaluate", "categories.json", None, b'{"task": "caf\xe9"}', "not UTF-8",
+                     id="evaluate-categories.json-not-utf8"),
+        pytest.param("evaluate", "corpus.jsonl", "text", "", "has empty text",
+                     id="evaluate-corpus.jsonl-empty-text"),
+        pytest.param("evaluate", "gold.jsonl", "annotations", [{"start": 5, "end": 5, "type": 0}],
+                     "span must satisfy 0 <= start < end, got [5, 5)",
+                     id="evaluate-gold.jsonl-empty-span"),
+        pytest.param("annotate", "run.json", "annotator.max_retries", 0,
+                     "max_retries must be at least 1", id="annotate-run.json-max_retries-0"),
+        pytest.param("annotate", "run.json", "annotator.concurrency", 0,
+                     "concurrency_limit must be at least 1", id="annotate-run.json-concurrency-0"),
+        pytest.param("evaluate", "run.json", "metrics.gamma.n_samples", 0,
+                     "n_samples must be at least 1", id="evaluate-run.json-n_samples-0"),
     ])
     def test_malformed_input_exits_2_naming_file_and_key(
         self, relative_run, capsys, command, file, key, value, named
@@ -411,6 +439,17 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert named in err
+
+    def test_d2t_fiveshot_entry_without_data_exits_2(self, relative_run, capsys):
+        config = json.loads(relative_run.read_text(encoding="utf-8"))
+        config["annotator"]["variant"] = "fiveshot"
+        shot = {"text": "t", "data": "d", "annotations": []}
+        config["annotator"]["fewshot"] = [shot] * 4 + [{"text": "t", "annotations": []}]
+        relative_run.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["annotate", "--config", str(relative_run)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: few-shot example 5 needs a 'data' field\n"
+        assert not (relative_run.parent / "out").exists()
 
     @pytest.mark.parametrize("file", ["run.json", "categories.json"])
     def test_too_deep_json_after_line_1_names_no_position(self, relative_run, capsys, file):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from spanagree.ingest import (
     ParseError,
     bundled_category_file,
     check_object,
+    decode_json,
     export_campaign,
     import_offset_tsv,
     load_campaign,
@@ -79,6 +81,27 @@ class TestCheckObject:
     def test_rejects_naming_the_key(self, obj, message):
         with pytest.raises(IngestError, match=message):
             check_object(obj, self.REQUIRED, self.OPTIONAL, "rec")
+
+
+class TestDecodeJson:
+    @pytest.mark.parametrize("data, value", [
+        ('"\\ud83d\\ude00"', "\U0001f600"),
+        (b'"\\ud83d\\ude00"', "\U0001f600"),
+        ('"\\uD83D\\uDE00"', "\U0001f600"),
+        ('"\\\\ud800"', "\\ud800"),
+    ], ids=["pair", "pair-bytes", "pair-upper", "escaped-backslash"])
+    def test_valid_escapes_load(self, data, value):
+        assert decode_json(data) == value
+
+    @pytest.mark.parametrize("data, named", [
+        ('"\\ud800"', "\\ud800"),
+        (b'{"a": ["x\\uDC00"]}', "\\udc00"),
+        ('{"\\ude00\\ud83d": 1}', "\\ude00"),
+    ], ids=["high", "low-bytes-nested", "reversed-pair-key"])
+    def test_lone_surrogate_raises_without_position(self, data, named):
+        with pytest.raises(json.JSONDecodeError) as info:
+            decode_json(data)
+        assert str(info.value) == f"lone surrogate escape {named}"
 
 
 class TestLoadCategoryFile:
@@ -204,6 +227,17 @@ class TestCampaignRoundTrip:
             "example_id": "zzz", "annotator_id": "x", "annotations": [],
         }) + "\n")
         with pytest.raises(ParseError, match=":1: unknown example 'zzz'"):
+            load_campaign(path, small_dataset)
+
+    def test_repeated_example_names_both_lines(self, tmp_path, small_dataset):
+        path = tmp_path / "camp.jsonl"
+        path.write_text("".join(
+            json.dumps({"example_id": eid, "annotator_id": "x", "annotations": []}) + "\n"
+            for eid in ("a", "b", "a")
+        ))
+        with pytest.raises(
+            ParseError, match=r":3: duplicate example_id 'a' \(first seen on line 1\)$"
+        ):
             load_campaign(path, small_dataset)
 
     @staticmethod
@@ -351,7 +385,9 @@ class TestImportOffsetTsv:
     def test_end_not_after_start(self, tmp_path, propaganda_dataset):
         path = tmp_path / "gold.tsv"
         path.write_text("art1\tDoubt\t5\t5\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=r":1: span \[5, 5\) invalid for text of length 40"):
+        with pytest.raises(
+            ParseError, match=r":1: span must satisfy 0 <= start < end, got \[5, 5\)"
+        ):
             import_offset_tsv(path, propaganda_dataset)
 
     def test_unknown_article(self, tmp_path, propaganda_dataset):
@@ -373,6 +409,43 @@ class TestImportOffsetTsv:
         campaign = import_offset_tsv(path, propaganda_dataset)
         assert [(a.start, a.end) for a in campaign.sets["art2"]] == [(3, 4)]
         assert len(campaign.sets["art1"]) == 1
+
+    @pytest.mark.parametrize("row, message", [
+        ("art1\tDoubt\t0", "expected 4 fields, got 3"),
+        ("art1\tDoubt\t0\tfive", "non-integer offsets: invalid literal for int()"),
+    ], ids=["three-fields", "non-integer-offset"])
+    def test_malformed_row(self, tmp_path, propaganda_dataset, row, message):
+        path = tmp_path / "gold.tsv"
+        path.write_text(f"art2\tDoubt\t0\t5\n{row}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f":2: {re.escape(message)}"):
+            import_offset_tsv(path, propaganda_dataset)
+
+    @pytest.fixture
+    def mt_dataset(self, tmp_path):
+        categories = write_bundled_categories(tmp_path, "mt")
+        corpus = write_corpus(tmp_path / "corpus.jsonl", [
+            {"id": "a", "text": "zehn Worte hier", "source": "ten words here"},
+            {"id": "b", "text": "noch ein Satz", "source": "one more sentence"},
+        ])
+        return load_dataset(corpus, categories)
+
+    def test_overlap_rejected_for_no_overlap_task(self, tmp_path, mt_dataset):
+        path = tmp_path / "gold.tsv"
+        path.write_text("a\tMajor\t0\t9\nb\tMinor\t0\t4\na\tMinor\t4\t15\n", encoding="utf-8")
+        with pytest.raises(IngestError) as info:
+            import_offset_tsv(path, mt_dataset)
+        assert str(info.value) == (
+            f"{path}: overlapping annotations in a no-overlap task (example 'a')"
+        )
+
+    def test_import_export_load_gives_equal_sets(self, tmp_path, mt_dataset):
+        path = tmp_path / "gold.tsv"
+        path.write_text("a\tMajor\t5\t10\nb\tMinor\t0\t4\na\tMinor\t0\t4\n", encoding="utf-8")
+        imported = import_offset_tsv(path, mt_dataset)
+        export_campaign(imported, tmp_path / "gold.jsonl")
+        loaded = load_campaign(tmp_path / "gold.jsonl", mt_dataset)
+        assert dict(loaded.sets) == dict(imported.sets)
+        assert [(x.start, x.end) for x in loaded.sets["a"]] == [(0, 4), (5, 10)]
 
     def test_stats_of_import_match_independent_recount(self, tmp_path, propaganda_dataset):
         from spanagree.metrics import annotation_stats
