@@ -313,6 +313,21 @@ def _child_rng(seed: int, example_id: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 
+def _start_draws(units: list[Unit], text_length: int) -> list[tuple[int, int, int]]:
+    """(span length, number of starts where it fits, bits per draw) per unit."""
+    draws = []
+    for start, end, _ in units:
+        fits = text_length - (end - start) + 1
+        draws.append((end - start, fits, fits.bit_length()))
+    return draws
+
+
+def _shuffle_swaps(n: int) -> list[tuple[int, int, int]]:
+    """``random.shuffle``'s Fisher-Yates swaps of n items, last first:
+    (i, i + 1, bits per draw), swapping position i with a draw below i + 1."""
+    return [(i, i + 1, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+
+
 def _resamples(
     a: list[Unit], b: list[Unit], text_length: int, rng: random.Random
 ) -> Iterator[tuple[list[Unit], list[Unit]]]:
@@ -322,25 +337,40 @@ def _resamples(
     categories are shuffled over its units, then each start is redrawn
     uniformly over the positions where the span fits. Every unit must
     fit in the text.
+
+    The draws are ``rng.shuffle`` then ``rng.randrange`` per unit, made
+    with ``rng.getrandbits`` as CPython makes them: a draw below n takes
+    ``n.bit_length()`` bits and draws again while the result is >= n.
     """
-    # (span length, number of starts where it fits) per unit
-    fits_a = [(end - start, text_length - (end - start) + 1) for start, end, _ in a]
-    fits_b = [(end - start, text_length - (end - start) + 1) for start, end, _ in b]
+    getrandbits = rng.getrandbits
+    fits_a, fits_b = _start_draws(a, text_length), _start_draws(b, text_length)
+    swaps_a, swaps_b = _shuffle_swaps(len(a)), _shuffle_swaps(len(b))
     categories_a = [category for _, _, category in a]
     categories_b = [category for _, _, category in b]
-    shuffle, draw = rng.shuffle, rng.randrange
     while True:
         categories = categories_a[:]
-        shuffle(categories)
+        for i, below, bits in swaps_a:
+            j = getrandbits(bits)
+            while j >= below:
+                j = getrandbits(bits)
+            categories[i], categories[j] = categories[j], categories[i]
         left = []
-        for (length, fits), category in zip(fits_a, categories):
-            start = draw(fits)
+        for (length, fits, bits), category in zip(fits_a, categories):
+            start = getrandbits(bits)
+            while start >= fits:
+                start = getrandbits(bits)
             left.append((start, start + length, category))
         categories = categories_b[:]
-        shuffle(categories)
+        for i, below, bits in swaps_b:
+            j = getrandbits(bits)
+            while j >= below:
+                j = getrandbits(bits)
+            categories[i], categories[j] = categories[j], categories[i]
         right = []
-        for (length, fits), category in zip(fits_b, categories):
-            start = draw(fits)
+        for (length, fits, bits), category in zip(fits_b, categories):
+            start = getrandbits(bits)
+            while start >= fits:
+                start = getrandbits(bits)
             right.append((start, start + length, category))
         yield left, right
 

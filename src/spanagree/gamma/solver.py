@@ -14,12 +14,24 @@ def solve_assignment(cost: Any) -> tuple[list[int], float]:
     Returns (cols, total) where cols[i] is the column assigned to row i
     and total sums the chosen costs in row order.
     O(n^3) Jonker-Volgenant style algorithm with dual potentials;
-    requires finite costs.
+    requires finite costs. A 2x2 matrix is answered in closed form with
+    the loop's own comparisons, so its cols, ties included, and its
+    total are the loop's to the bit.
     """
     matrix = cost.tolist()
     n = len(matrix)
     if n == 0:
         return [], 0.0
+    if n == 2:
+        (a, b), (c, d) = matrix
+        # Row 0 takes its cheaper column, column 0 on a tie. Row 1 takes
+        # the other column unless it prefers the taken one by more than
+        # row 0 loses by moving over.
+        if a <= b:
+            diagonal = not c <= d or not b - a < d - c
+        else:
+            diagonal = d < c and a - b < c - d
+        return ([0, 1], 0.0 + a + d) if diagonal else ([1, 0], 0.0 + b + c)
     inf = float("inf")
     u = [0.0] * (n + 1)
     v = [0.0] * (n + 1)

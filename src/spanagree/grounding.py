@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Any
 
+from .ingest import reject_lone_surrogates
 from .model import SpanAnnotation
 
 _OPEN, _CLOSE = "<think>", "</think>"
@@ -88,17 +89,21 @@ def extract_last_json_object(text: str) -> dict[str, Any]:
     decoder on the rest of the reply; a success resumes the search after
     the object, a failure (including nesting too deep for the decoder) at
     the next ``{``, so the interior of an invalid candidate is still
-    searched. Decoding a slice keeps a failure's line and column count
-    within the slice, but each attempt still copies the rest of the
-    reply. Raises GroundingError if nothing parses.
+    searched. A candidate holding a lone surrogate escape, which no UTF-8
+    output can write, fails too, as in ``ingest.decode_json``. Decoding a
+    slice keeps a failure's line and column count within the slice, but
+    each attempt still copies the rest of the reply. Raises
+    GroundingError if nothing parses.
     """
     last = None
     match = _OBJECT_START.search(text)
     while match:
         i = match.start()
         try:
-            last, end = _DECODER.raw_decode(text[i:])
+            value, end = _DECODER.raw_decode(text[i:])
             end += i
+            reject_lone_surrogates(text[i:end], value)
+            last = value
         except (json.JSONDecodeError, RecursionError):
             end = i + 1
         match = _OBJECT_START.search(text, end)

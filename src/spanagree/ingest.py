@@ -115,6 +115,15 @@ def decode_json(data: str | bytes) -> Any:
         value = json.loads(data)
     except RecursionError:
         raise _Unplaced("nested too deeply") from None
+    reject_lone_surrogates(data, value)
+    return value
+
+
+def reject_lone_surrogates(data: str | bytes, value: Any) -> None:
+    """Raise JSONDecodeError, naming the escape, if ``value``, decoded
+    from the JSON text ``data``, holds a lone surrogate, which no UTF-8
+    output can write. Only text holding ``\\ud`` or ``\\uD``, the start
+    of every surrogate escape, is checked."""
     marks = (b"\\ud", b"\\uD") if isinstance(data, bytes) else ("\\ud", "\\uD")
     if marks[0] in data or marks[1] in data:
         try:
@@ -122,7 +131,6 @@ def decode_json(data: str | bytes) -> Any:
         except UnicodeEncodeError as exc:
             char = exc.object[exc.start]
             raise _Unplaced(f"lone surrogate escape \\u{ord(char):04x}") from None
-    return value
 
 
 def load_category_file(path: str | Path) -> CategoryFile:
@@ -321,9 +329,16 @@ def _check_span(ann: SpanAnnotation, example: Example, k: int) -> SpanAnnotation
 
 
 def _span_set(example_id: str, spans: list[SpanAnnotation], no_overlap: bool) -> AnnotationSet:
-    """One example's checked spans, sorted; in a no-overlap task, raises
-    IngestError when two of them overlap."""
+    """One example's checked spans, sorted; raises IngestError when two of
+    them share (start, end, category), which ``annotate`` never writes,
+    or, in a no-overlap task, when two of them overlap."""
     spans.sort(key=lambda a: a.sort_key)
+    for ann, after in zip(spans, spans[1:]):
+        if ann.sort_key == after.sort_key:
+            raise IngestError(
+                f"duplicate span [{ann.start}, {ann.end}) of category {ann.category} "
+                f"in example {example_id!r}"
+            )
     if no_overlap:
         last_end = 0
         for ann in spans:

@@ -375,6 +375,10 @@ class TestExitCodes:
         pytest.param("evaluate", "gold.jsonl", "annotations", [{"start": 5, "end": 5, "type": 0}],
                      "span must satisfy 0 <= start < end, got [5, 5)",
                      id="evaluate-gold.jsonl-empty-span"),
+        pytest.param("evaluate", "gold.jsonl", "annotations",
+                     [{"start": 0, "end": 5, "type": 0}, {"start": 0, "end": 5, "type": 0}],
+                     "duplicate span [0, 5) of category 0 in example 'ex01'",
+                     id="evaluate-gold.jsonl-duplicate-span"),
         pytest.param("annotate", "run.json", "annotator.max_retries", 0,
                      "max_retries must be at least 1", id="annotate-run.json-max_retries-0"),
         pytest.param("annotate", "run.json", "annotator.concurrency", 0,
@@ -462,6 +466,95 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{file}: " in err and "nested too deeply" in err
         assert "line 1 column 1" not in err and f"{file}:1:" not in err
+
+
+class TestLoneSurrogateInReply:
+    """A reply whose JSON payload escapes a lone surrogate, which no UTF-8
+    campaign can hold, counts as invalid JSON, whether it is fresh or read
+    back from the cache."""
+
+    # the backslash escape as the model wrote it, inside the reply text
+    SURROGATE_REPLY = (
+        '{"annotations": [{"reason": "bad \\ud800 half", '
+        '"text": "reach 25 degrees on Monday", "type": 0}]}'
+    )
+
+    @staticmethod
+    def set_replies(run, example_id, replies):
+        path = run.parent / "replies.jsonl"
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        for record in records:
+            if record["example_id"] == example_id:
+                record["replies"] = replies
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+    @staticmethod
+    def outputs(run):
+        out = run.parent / "out"
+        # strict UTF-8, as every reader of the campaign takes it
+        campaign = [json.loads(l) for l in (out / "campaign.jsonl").read_text("utf-8").splitlines()]
+        traces = [json.loads(l) for l in (out / "traces.jsonl").read_text("utf-8").splitlines()]
+        return {r["example_id"]: r for r in campaign}, {r["example_id"]: r for r in traces}
+
+    def test_fresh_reply_is_a_failed_attempt_and_retried(self, relative_run, capsys):
+        assert main(["annotate", "--config", str(relative_run)]) == 0
+        plain, _ = self.outputs(relative_run)
+        good = json.loads((relative_run.parent / "replies.jsonl").read_text().splitlines()[0])
+        assert good["example_id"] == "ex01"
+        shutil.rmtree(relative_run.parent / "out")
+        (relative_run.parent / "cache.jsonl").unlink()
+
+        self.set_replies(relative_run, "ex01", [self.SURROGATE_REPLY, *good["replies"]])
+        capsys.readouterr()
+        assert main(["annotate", "--config", str(relative_run)]) == 0
+        assert "failed: 1 (ex03)" in capsys.readouterr().out
+        campaign, traces = self.outputs(relative_run)
+        assert campaign == plain
+        assert traces["ex01"]["retries"] == 1
+
+        shutil.rmtree(relative_run.parent / "out")
+        (relative_run.parent / "cache.jsonl").unlink()
+        self.set_replies(relative_run, "ex01", [self.SURROGATE_REPLY])
+        assert main(["annotate", "--config", str(relative_run)]) == 0
+        captured = capsys.readouterr()
+        assert "failed: 2 (ex01, ex03)" in captured.out and "Traceback" not in captured.err
+        campaign, _ = self.outputs(relative_run)
+        assert campaign["ex01"]["failed"] and campaign["ex01"]["annotations"] == []
+
+    def test_cached_reply_fails_on_rederive_and_is_requested_again(
+        self, relative_run, capsys, monkeypatch
+    ):
+        assert main(["annotate", "--config", str(relative_run)]) == 0
+        plain, _ = self.outputs(relative_run)
+        # a cache written before such replies were rejected
+        cache = relative_run.parent / "cache.jsonl"
+        records = [json.loads(line) for line in cache.read_text(encoding="utf-8").splitlines()]
+        for record in records:
+            if record["example_id"] == "ex01":
+                record["raw_output"] = self.SURROGATE_REPLY
+        cache.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+        requested = []
+        complete = MockAdapter.complete
+
+        def recording(self, prompt, decoding, schema=None, request_id=""):
+            requested.append(request_id)
+            return complete(self, prompt, decoding, schema, request_id)
+
+        monkeypatch.setattr(MockAdapter, "complete", recording)
+        shutil.rmtree(relative_run.parent / "out")
+        assert main(["annotate", "--config", str(relative_run)]) == 0
+        assert "ex01" in requested
+        assert self.outputs(relative_run)[0] == plain
+
+        # put the tampered cache back; this time no good reply is left to request
+        cache.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        self.set_replies(relative_run, "ex01", [self.SURROGATE_REPLY])
+        capsys.readouterr()
+        assert main(["annotate", "--config", str(relative_run)]) == 0
+        captured = capsys.readouterr()
+        assert "failed: 2 (ex01, ex03)" in captured.out and "Traceback" not in captured.err
+        assert self.outputs(relative_run)[0]["ex01"]["failed"]
 
 
 class TestCommands:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -23,7 +24,12 @@ from spanagree.gamma.dissimilarity import pair_costs
 from spanagree.model import ModelError, SpanAnnotation
 
 from conftest import random_spans
-from test_gamma_reference import ref_padded_matrix, ref_pair_cost_matrix
+from test_gamma_reference import (
+    ref_padded_matrix,
+    ref_pair_cost_matrix,
+    ref_resamples,
+    ref_solve_assignment,
+)
 
 
 def S(start, end, category=0):
@@ -236,6 +242,22 @@ class TestSolver:
                 expected += cost[i, cols[i]]
             assert total == expected
 
+    def test_2x2_matches_the_loop_to_the_bit(self):
+        grid = [0.0, -0.25, -0.5, -1.0]
+        matrices = [list(m) for m in itertools.product(grid, repeat=4)]
+        rng = random.Random(29)
+        draws = [
+            lambda: 0.0,
+            lambda: -rng.random(),
+            lambda: -rng.randrange(9) / 8,
+            lambda: rng.uniform(-50.0, 50.0),
+        ]
+        matrices += [[rng.choice(draws)() for _ in range(4)] for _ in range(100_000)]
+        for m in np.array(matrices).reshape(-1, 2, 2):
+            cols, total = solver.solve_assignment(m)
+            want_cols, want_total = ref_solve_assignment(m.tolist())
+            assert cols == want_cols and total.hex() == want_total.hex(), m.tolist()
+
 
 class TestComponentMatching:
     """``_match`` solves each connected component of the pairs that
@@ -426,6 +448,21 @@ class TestExpectedDisorder:
         message = "span of length 30 cannot fit in text of length 20"
         with pytest.raises(ModelError, match=message):
             expected_disorder([S(0, 5, 0)], [S(2, 4, 1), S(0, 30, 0)], 20, GammaConfig())
+
+    @pytest.mark.parametrize("text_length, lengths", [
+        (40, [5, 40, 1, 7]),  # 40 fits once: a one-bit draw that rejects 1
+        (70, [7, 6, 8, 39, 38, 40, 70]),  # 64, 65 and 63 starts; 32, 33 and 31
+        (1, [1]),
+    ], ids=["text-long-span", "power-of-two-fits", "one-char-text"])
+    def test_resamples_draw_what_shuffle_and_randrange_draw(self, text_length, lengths):
+        for n_left in range(13):
+            for n_right in range(13):
+                spans = [(0, lengths[i % len(lengths)], i % 4) for i in range(n_left + n_right)]
+                left, right = spans[:n_left], spans[n_left:]
+                got = _resamples(left, right, text_length, _child_rng(3, f"{n_left}-{n_right}"))
+                want = ref_resamples(left, right, text_length, _child_rng(3, f"{n_left}-{n_right}"))
+                for _ in range(50):
+                    assert next(got) == next(want)
 
     def test_resample_preserves_length_and_category_multisets(self):
         rng = random.Random(31)

@@ -159,3 +159,78 @@ def test_gamma_equals_reference_under_any_weights(seed):
         example_id = f"s{seed}-{index}"
         want = ref_gamma(left, right, text_len, cfg, example_id)
         assert gamma_score(left, right, text_len, cfg, example_id) == want, example_id
+
+
+# References for two shortcuts in gamma: the full Jonker-Volgenant loop,
+# which solve_assignment skips for a 2x2 matrix, and resamples drawn with
+# ``random``'s own shuffle and randrange, which ``_resamples`` replaces
+# with direct getrandbits draws.
+
+
+def ref_solve_assignment(matrix):
+    """solve_assignment's shortest-augmenting-path loop, on a list of lists."""
+    n = len(matrix)
+    if n == 0:
+        return [], 0.0
+    inf = float("inf")
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    p = [0] * (n + 1)
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = inf
+            j1 = 0
+            row = matrix[i0 - 1]
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = row[j - 1] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta = minv[j]
+                        j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    cols = [0] * n
+    for j in range(1, n + 1):
+        if p[j] != 0:
+            cols[p[j] - 1] = j - 1
+    total = 0.0
+    for i in range(n):
+        total += matrix[i][cols[i]]
+    return cols, total
+
+
+def ref_resamples(left, right, text_length, rng):
+    """Endless (left, right) resamples of unit triples, drawn with
+    ``rng.shuffle`` and ``rng.randrange``."""
+    while True:
+        sample = []
+        for side in (left, right):
+            categories = [category for _, _, category in side]
+            rng.shuffle(categories)
+            units = []
+            for (start, end, _), category in zip(side, categories):
+                new = rng.randrange(text_length - (end - start) + 1)
+                units.append((new, new + end - start, category))
+            sample.append(units)
+        yield tuple(sample)

@@ -163,6 +163,13 @@ class TestExtractLastJson:
         with pytest.raises(GroundingError, match="no parseable top-level JSON object"):
             extract_last_json_object("nothing here [1, 2, 3]")
 
+    def test_lone_surrogate_escape_makes_a_candidate_invalid(self):
+        # the inner object holds the escape too, so neither is taken
+        text = '{"a": 1} {"b": [{"c": "x \\ud800"}]} {"d": "\\uD83D\\uDE00"} {"e": "\\uDc00"}'
+        assert extract_last_json_object(text) == {"d": "\U0001F600"}
+        with pytest.raises(GroundingError, match="no parseable top-level JSON object"):
+            extract_last_json_object('{"annotations": [], "reason": "\\udfff"}')
+
     def test_too_deep_outer_falls_back_to_inner(self):
         # the decoder gives up on the outer objects; the outermost one
         # it can decode is returned

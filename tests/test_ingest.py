@@ -296,6 +296,31 @@ class TestCampaignRoundTrip:
         with pytest.raises(ParseError, match="overlapping"):
             load_campaign(path, dataset)
 
+    def test_identical_spans_rejected_where_overlap_is_allowed(self, tmp_path, small_dataset):
+        assert not small_dataset.no_overlap
+        path = tmp_path / "camp.jsonl"
+        path.write_text(json.dumps({
+            "example_id": "a", "annotator_id": "x",
+            "annotations": [
+                {"start": 0, "end": 5, "type": 0},
+                {"start": 2, "end": 5, "type": 0},
+                {"start": 0, "end": 5, "type": 0, "reason": "again"},
+            ],
+        }) + "\n")
+        with pytest.raises(
+            ParseError, match=r":1: duplicate span \[0, 5\) of category 0 in example 'a'$"
+        ):
+            load_campaign(path, small_dataset)
+
+    def test_same_offsets_in_two_categories_load(self, tmp_path, small_dataset):
+        path = tmp_path / "camp.jsonl"
+        path.write_text(json.dumps({
+            "example_id": "a", "annotator_id": "x",
+            "annotations": [{"start": 0, "end": 5, "type": 1}, {"start": 0, "end": 5, "type": 0}],
+        }) + "\n")
+        loaded = load_campaign(path, small_dataset)
+        assert [a.category for a in loaded.sets["a"]] == [0, 1]
+
     def test_loading_unsorted_file_sorts(self, tmp_path, small_dataset):
         path = tmp_path / "camp.jsonl"
         path.write_text(json.dumps({
@@ -332,7 +357,8 @@ class TestCampaignRoundTrip:
                 S(s, s + l, c, reason="r" if has_reason else None)
                 for s, l, c, has_reason in triples
             ]
-            # drop exact duplicates; files are strict about distinctness
+            # drop exact duplicates: annotate never writes two spans with the
+            # same (start, end, category), and load_campaign rejects them
             unique = {(a.start, a.end, a.category): a for a in spans}
             sets[eid] = as_set(eid, list(unique.values()))
         campaign = Campaign("fuzz", sets)
@@ -436,6 +462,18 @@ class TestImportOffsetTsv:
             import_offset_tsv(path, mt_dataset)
         assert str(info.value) == (
             f"{path}: overlapping annotations in a no-overlap task (example 'a')"
+        )
+
+    def test_identical_rows_rejected(self, tmp_path, propaganda_dataset):
+        assert not propaganda_dataset.no_overlap
+        path = tmp_path / "gold.tsv"
+        path.write_text("art1\tDoubt\t0\t5\nart2\tDoubt\t0\t5\nart1\tDoubt\t0\t5\n",
+                        encoding="utf-8")
+        with pytest.raises(IngestError) as info:
+            import_offset_tsv(path, propaganda_dataset)
+        doubt = propaganda_dataset.categories.by_name("Doubt").index
+        assert str(info.value) == (
+            f"{path}: duplicate span [0, 5) of category {doubt} in example 'art1'"
         )
 
     def test_import_export_load_gives_equal_sets(self, tmp_path, mt_dataset):
