@@ -66,20 +66,22 @@ def _match(
     """Optimal partial matching of n left and m right units: its cost and
     the matched right unit of each matched left unit.
 
-    ``useful`` holds the (i, j, cost) of the useful pairs in row-major
-    order: those costing less than 2 * penalty, the only pairs that can
-    beat leaving both units unaligned. Without one every unit pays the
-    penalty; a single one is matched. Otherwise the optimum splits into
-    the connected components of the useful pairs: an isolated unit
-    stays unaligned, a 1x1 component is matched directly and only
-    larger components are solved. A component of r rows and c columns
-    is solved as a square matrix of side max(r, c) whose useful pairs
-    hold half their saving, ``0.5 * cost - penalty``, and whose other
-    entries are 0 ("no pair"); halving keeps the entries finite where
-    ``2 * penalty`` overflows. Among cost ties the matching may differ
-    from a solve of the whole matrix. The total adds, in row order, each
-    left unit's pair cost or penalty, then one penalty per unmatched
-    right unit.
+    ``useful`` holds the (i, j, cost) of the useful pairs, rows in order
+    and in any order within a row: those costing less than 2 * penalty,
+    the only pairs that can beat leaving both units unaligned. Without
+    one every unit pays the penalty; a single one is matched. Otherwise
+    the optimum splits into the connected components of the useful
+    pairs: an isolated unit stays unaligned, a 1x1 component is matched
+    directly and only larger components are solved. A component of r
+    rows and c columns is solved as a square matrix of side max(r, c)
+    whose useful pairs hold half their saving, ``0.5 * cost - penalty``,
+    and whose other entries are 0 ("no pair"); halving keeps the entries
+    finite where ``2 * penalty`` overflows. Among cost ties the matching
+    may differ from a solve of the whole matrix. The total adds, in row
+    order, each left unit's pair cost or penalty, then one penalty per
+    unmatched right unit. The order within a row changes nothing:
+    components are visited in order of their first node and list their
+    nodes in index order, and totals are summed in row order.
     """
     total = 0.0
     if not useful:

@@ -11,9 +11,10 @@ where each metric is defined.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .gamma import GammaConfig, gamma_score
 from .model import Campaign, Dataset, SpanAnnotation
@@ -91,6 +92,59 @@ def example_f1(
 
 def _harmonic(p: float, r: float) -> float:
     return 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
+
+
+def _overlap_window(spans: Sequence[SpanAnnotation]) -> Callable[[SpanAnnotation], range]:
+    """For spans sorted by start, the positions of those that can overlap
+    a given span: they start before its end, and after its start minus
+    the longest span's length."""
+    starts = [g.start for g in spans]
+    longest = max([g.end - g.start for g in spans])
+
+    def window(a: SpanAnnotation) -> range:
+        lo = bisect_left(starts, a.start - longest + 1)
+        return range(lo, bisect_left(starts, a.end, lo))
+
+    return window
+
+
+def _overlap_scores(
+    candidate: Sequence[SpanAnnotation], reference: Sequence[SpanAnnotation]
+) -> tuple[float, float, float, float]:
+    """Hard precision, hard recall, soft precision and soft recall of two
+    non-empty span sets sorted by start, ``==`` to ``example_precision``
+    and ``example_recall``, from one pass over the overlapping pairs.
+
+    Those functions add a credit of 0.0, which changes no sum, for every
+    pair that does not overlap. The overlapping pairs are added in their
+    order: references in order within each candidate's credit, and
+    candidates in order within each reference's.
+    """
+    window = _overlap_window(reference)
+    ref_hard = [0.0] * len(reference)
+    ref_soft = [0.0] * len(reference)
+    p_hard = p_soft = 0.0
+    for a in candidate:
+        hard = soft = 0.0
+        length = a.end - a.start
+        for k in window(a):
+            g = reference[k]
+            overlap = min(a.end, g.end) - max(a.start, g.start)
+            if overlap > 0:
+                own, theirs = overlap / length, overlap / (g.end - g.start)
+                soft += own
+                ref_soft[k] += theirs
+                if a.category == g.category:
+                    hard += own
+                    ref_hard[k] += theirs
+        p_hard += min(1.0, hard)
+        p_soft += min(1.0, soft)
+    r_hard = r_soft = 0.0
+    for hard, soft in zip(ref_hard, ref_soft):
+        r_hard += min(1.0, hard)
+        r_soft += min(1.0, soft)
+    n, m = len(candidate), len(reference)
+    return p_hard / n, r_hard / m, p_soft / n, r_soft / m
 
 
 def pearson_counts(counts1: Sequence[float], counts2: Sequence[float]) -> float:
@@ -228,10 +282,9 @@ def aggregate(
         cand_counts.append(len(cand_set))
         if len(ref_set) > 0 and len(cand_set) > 0:
             text = dataset[example_id].text
-            p_hard = example_precision(cand_set, ref_set, MatchMode.HARD)
-            r_hard = example_recall(cand_set, ref_set, MatchMode.HARD)
-            p_soft = example_precision(cand_set, ref_set, MatchMode.SOFT)
-            r_soft = example_recall(cand_set, ref_set, MatchMode.SOFT)
+            p_hard, r_hard, p_soft, r_soft = _overlap_scores(
+                cand_set.annotations, ref_set.annotations
+            )
             gamma = gamma_score(ref_set, cand_set, len(text), gamma_config, example_id)
             # A finite but huge delta_empty can overflow the disorder sums to
             # inf / inf; a nan here would reach report.json as invalid JSON.
@@ -318,16 +371,21 @@ class ConfusionMatrix:
 def confusion_matrix(reference: Campaign, candidate: Campaign, k: int) -> ConfusionMatrix:
     """Pair each reference annotation with the candidate annotation of
     maximal character overlap (ties to the lower start; zero overlap
-    leaves it unpaired) and count category co-occurrences. Examples
-    failed on either side are skipped, as in aggregate."""
+    leaves it unpaired) and count category co-occurrences. Only the
+    candidates that can overlap are visited, in their sorted order.
+    Examples failed on either side are skipped, as in aggregate."""
     counts = [[0] * k for _ in range(k)]
     failed = reference.failed_ids() | candidate.failed_ids()
     for example_id in sorted((set(reference.sets) & set(candidate.sets)) - failed):
-        cand_set = candidate.sets[example_id]
+        cand_set = candidate.sets[example_id].annotations
+        if not cand_set:
+            continue
+        window = _overlap_window(cand_set)
         for ref_ann in reference.sets[example_id]:
             best: SpanAnnotation | None = None
             best_overlap = 0
-            for cand_ann in cand_set:
+            for c in window(ref_ann):
+                cand_ann = cand_set[c]
                 overlap = char_overlap(ref_ann, cand_ann)
                 if overlap > best_overlap:
                     best = cand_ann

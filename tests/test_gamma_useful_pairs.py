@@ -2,7 +2,9 @@
 the reference in ``test_gamma_reference``.
 
 Each alignment, observed or resampled, is matched from the pairs that
-cost less than 2 * delta_empty. With none every unit pays the penalty,
+cost less than 2 * delta_empty. Above 64 pairs per call they are found
+in a window of sorted starts, which the first test checks against the
+all-pairs filter. With none every unit pays the penalty,
 a single one is matched directly, and otherwise the pairs are split into
 connected components, of which only those with 3 or more units reach
 the solver. Each test records which of these branches its alignments
@@ -21,6 +23,7 @@ import pytest
 
 from spanagree.gamma import DissimilarityConfig, GammaConfig, gamma_score, pair_cost_matrix
 from spanagree.gamma import alignment
+from spanagree.gamma.dissimilarity import WINDOW_MIN_PAIRS, pair_costs
 from spanagree.model import SpanAnnotation
 
 from conftest import random_spans
@@ -29,6 +32,63 @@ from test_gamma_reference import ref_gamma, ref_pair_cost_matrix
 
 def S(start, end, category=0):
     return SpanAnnotation(start, end, category)
+
+
+def _units(rng, text_len, n):
+    """n random units, of lengths up to a bound drawn once for the side."""
+    longest = rng.randint(1, text_len)
+    units = []
+    for _ in range(n):
+        length = rng.randint(1, longest)
+        start = rng.randint(0, text_len - length)
+        units.append((start, start + length, rng.randint(0, 2)))
+    return units
+
+
+def _touching(rng, units, text_len):
+    """Units that end where one of units starts or start where it ends:
+    d is exactly 1 for such a pair, which puts its cost exactly on the
+    limit when beta is 0 or the categories differ."""
+    out = []
+    for start, end, _ in units:
+        length = rng.randint(1, 10)
+        if rng.random() < 0.5 and end + length <= text_len:
+            out.append((end, end + length, rng.randint(0, 2)))
+        elif start >= length:
+            out.append((start - length, start, rng.randint(0, 2)))
+    return out
+
+
+@pytest.mark.parametrize("alpha, beta, delta_empty", [
+    (1.0, 1.0, 1.0),
+    (3.0, 1.0, 0.75),
+    (0.5, 1.5, 2.5),
+    (0.0, 1.0, 0.6),
+    (1.0, 0.0, 0.3),
+    (1.0, 1.0, 0.0),
+    (1.0, 1.0, 1e308),
+])
+def test_windowed_pairs_equal_the_all_pairs_filter(alpha, beta, delta_empty):
+    costs = pair_costs(DissimilarityConfig(alpha, beta, delta_empty))
+    limit = 2 * delta_empty
+    rng = random.Random(f"{alpha}-{beta}-{delta_empty}")
+    gated = set()
+    on_limit = 0
+    for _ in range(400):
+        text_len = rng.randint(1, 120)
+        left = _units(rng, text_len, rng.randint(1, 30))
+        right = _units(rng, text_len, rng.randint(1, 30))
+        right = (right + _touching(rng, left, text_len))[:30]
+        every = costs(left, right, None)
+        want = [(i, j, cost) for i, j, cost in every if cost < limit]
+        got = costs(left, right, limit)
+        assert sorted(got) == want
+        rows = [i for i, _, _ in got]
+        assert rows == sorted(rows)
+        gated.add(len(left) * len(right) > WINDOW_MIN_PAIRS)
+        on_limit += any(cost == limit for _, _, cost in every)
+    assert gated == {False, True}
+    assert on_limit
 
 
 def traced_gamma(monkeypatch, left, right, text_length, cfg, example_id="x"):
@@ -138,10 +198,18 @@ def test_overflowing_delta_empty(monkeypatch):
         assert seen[0] == (2, 1)
         assert math.isfinite(got)
 
+        # 10 x 10 units, above the window's gate: an infinite limit keeps
+        # the all-pairs loop, and every pair whose cost stays finite is useful
+        left = [S(10 * k, 10 * k + 8, k % 3) for k in range(10)]
+        right = [S(10 * k + 1, 10 * k + 9, k % 3) for k in range(10)]
+        cfg = GammaConfig(dissimilarity, n_samples=2)
+        big, big_seen = traced_gamma(monkeypatch, left, right, 120, cfg)
+
         # a resampled pair whose cost overflows drops out, and the two
         # penalties it leaves sum to inf
         cfg = GammaConfig(dissimilarity, n_samples=3, seed=3)
         got, seen = traced_gamma(monkeypatch, [S(0, 10, 0)], [S(0, 10, 1)], 40, cfg)
+    assert big_seen[0][0] >= 10 and not math.isnan(big)
     assert seen[0] == (1, 0)
     assert (0, 0) in seen[1:]
     assert got == 1.0
@@ -165,6 +233,13 @@ def test_zero_alpha(monkeypatch, seed):
         _, seen = traced_gamma(monkeypatch, left, right, text_len, cfg, f"a{seed}-{index}")
         taken.update(min(useful, 2) for useful, _ in seen)
     assert taken == {0, 1, 2}
+    # 10 x 10 units, above the window's gate, which alpha 0 keeps shut
+    for index in range(3):
+        text_len = rng.randint(20, 60)
+        left, right = random_spans(rng, text_len, 10, k=3), random_spans(rng, text_len, 10, k=3)
+        cfg = GammaConfig(DissimilarityConfig(alpha=0.0, delta_empty=0.6), n_samples=3, seed=index)
+        _, seen = traced_gamma(monkeypatch, left, right, text_len, cfg, f"b{seed}-{index}")
+        assert seen[0][0] > 1
 
 
 def test_tied_matchings_agree_with_the_reference_to_rounding():

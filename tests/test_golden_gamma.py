@@ -3,7 +3,9 @@
 Run-to-run byte identity cannot catch a refactor that changes the
 numbers the same way every time; this test can. The stored values cover
 the fixture campaigns (gold against the mock-annotated replies) and a
-seeded synthetic corpus with 0-20 spans per side.
+seeded synthetic corpus with 0-20 spans per side, whose examples fall on
+both sides of the 64 pairs above which gamma finds its useful pairs in a
+window of sorted starts.
 
 A change that is meant to move gamma regenerates the file with
 ``PYTHONPATH=src python tests/test_golden_gamma.py`` and says why the
@@ -18,6 +20,7 @@ import sys
 
 from spanagree.annotator import AnnotatorConfig, MockAdapter, annotate_dataset
 from spanagree.gamma import GammaConfig, gamma_score
+from spanagree.gamma.dissimilarity import WINDOW_MIN_PAIRS
 from spanagree.ingest import load_campaign, load_dataset
 from spanagree.metrics import aggregate
 from spanagree.model import SpanAnnotation
@@ -57,21 +60,26 @@ def _jittered(rng: random.Random, span: SpanAnnotation, text_len: int) -> SpanAn
     return SpanAnnotation(start, end, category)
 
 
-def synthetic_gammas() -> dict[str, str]:
-    """Left sides draw 0-20 random spans; right sides keep a jittered
-    share of them plus random extras, also capped at 20."""
+def synthetic_examples() -> list[tuple[str, int, list[SpanAnnotation], list[SpanAnnotation]]]:
+    """(example id, text length, left, right) per synthetic example. Left
+    sides draw 0-20 random spans; right sides keep a jittered share of
+    them plus random extras, also capped at 20."""
     rng = random.Random(SYNTHETIC_SEED)
-    out = {}
+    out = []
     for index in range(SYNTHETIC_EXAMPLES):
-        example_id = f"syn{index:03d}"
         text_len = rng.randint(40, 400)
         left = [_random_span(rng, text_len) for _ in range(rng.randint(0, 20))]
         right = [_jittered(rng, s, text_len) for s in left if rng.random() < 0.6]
         right += [_random_span(rng, text_len) for _ in range(rng.randint(0, 20 - len(right)))]
-        out[example_id] = repr(
-            gamma_score(left, right, text_len, SYNTHETIC_CONFIG, example_id)
-        )
+        out.append((f"syn{index:03d}", text_len, left, right))
     return out
+
+
+def synthetic_gammas() -> dict[str, str]:
+    return {
+        example_id: repr(gamma_score(left, right, text_len, SYNTHETIC_CONFIG, example_id))
+        for example_id, text_len, left, right in synthetic_examples()
+    }
 
 
 def test_fixture_gammas_match_golden(tmp_path):
@@ -82,6 +90,15 @@ def test_fixture_gammas_match_golden(tmp_path):
 def test_synthetic_gammas_match_golden():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert synthetic_gammas() == golden["synthetic"]
+
+
+def test_synthetic_examples_straddle_the_window_gate():
+    # Every alignment of an example, observed or resampled, has its sides'
+    # sizes, so the golden values pin both the windowed and the all-pairs
+    # search for useful pairs.
+    pairs = [len(left) * len(right) for _, _, left, right in synthetic_examples()]
+    assert sum(p > WINDOW_MIN_PAIRS for p in pairs) == 27
+    assert sum(0 < p <= WINDOW_MIN_PAIRS for p in pairs) == 10
 
 
 if __name__ == "__main__":
