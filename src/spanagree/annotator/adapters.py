@@ -28,7 +28,9 @@ class ProviderError(RuntimeError):
     """Transport-level failure talking to the provider."""
 
 
-class MissingApiKey(ProviderError):
+class MissingApiKey(ProviderError, ValueError):
+    """A bad setting, raised only by an adapter's constructor."""
+
     def __init__(self, env_var: str):
         super().__init__(f"API key environment variable {env_var} is not set")
         self.env_var = env_var

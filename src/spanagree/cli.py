@@ -2,8 +2,10 @@
 
 All behaviour is driven by a single JSON config file; flags only
 override individual keys. Exit codes: 0 success (even with per-example
-annotation failures), 2 for usage/config/validation problems, 3 for I/O
-problems, 130 when interrupted (Ctrl-C).
+annotation failures), 2 for usage errors and any ValueError (a bad
+input or setting), 3 for any OSError (an I/O problem), 130 when
+interrupted (Ctrl-C). Any other exception is a bug and keeps its
+traceback.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+# TemplateError is not used here, but spanagree.cli has always handed it out.
 from .config import ConfigError, ProviderSettings, RunConfig, TemplateError, load_run_config
-from .ingest import IngestError, export_campaign, load_campaign, load_dataset
-from .model import Campaign, Dataset, ModelError
+from .ingest import export_campaign, load_campaign, load_dataset
+from .model import Campaign, Dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -27,8 +30,9 @@ EXIT_INTERRUPTED = 130
 # The names this module takes from the annotate runtime and the scorer.
 # Each is imported on first use, through the module __getattr__ below,
 # so `import spanagree.cli` loads neither and each command loads only its
-# own modules. The commands look the names up on this module (`_cli`), so
-# patching `cli.annotate_dataset` or `cli.aggregate` still reaches them.
+# own modules. The commands look the names up through `_cli`, in the
+# namespace the module runs in, so patching `cli.annotate_dataset` or
+# `cli.aggregate` still reaches them.
 _DEFERRED = {
     "annotator.adapters": ("MockAdapter", "OpenAIChatAdapter"),
     "annotator.runner": ("annotate_dataset", "trace_record"),
@@ -47,8 +51,17 @@ def __getattr__(name: str):
     return value
 
 
-# This module as the commands see it; under `python -m` it is __main__.
-_cli = sys.modules[__name__]
+class _Names:
+    """The deferred names as the commands see them, read from globals():
+    runpy.run_module, as `python -m cProfile -m spanagree.cli` calls it,
+    runs this file in a namespace that no module in sys.modules owns."""
+
+    def __getattr__(self, name: str):
+        namespace = globals()
+        return namespace[name] if name in namespace else namespace["__getattr__"](name)
+
+
+_cli = _Names()
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -73,14 +86,11 @@ def _make_adapter(config: RunConfig):
         if config.provider.replies is None:
             raise ConfigError("mock provider needs a replies file (--mock PATH)")
         return _cli.MockAdapter.from_jsonl(config.provider.replies)
-    try:
-        return _cli.OpenAIChatAdapter(
-            model_id=config.annotator.model_id,
-            base_url=config.provider.base_url,
-            api_key_env=config.provider.api_key_env,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"provider: {exc}") from exc
+    return _cli.OpenAIChatAdapter(
+        model_id=config.annotator.model_id,
+        base_url=config.provider.base_url,
+        api_key_env=config.provider.api_key_env,
+    )
 
 
 def _load_named_campaign(config: RunConfig, name: str, dataset: Dataset) -> Campaign:
@@ -207,26 +217,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # OSError comes first, so that io.UnsupportedOperation, which is both,
+    # exits as the I/O problem it is.
     try:
         return args.func(args)
-    except (ConfigError, IngestError, ModelError, TemplateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
-    except Exception as exc:
-        # Imported on the error path only: their modules belong to one command.
-        from .annotator.adapters import MissingApiKey
-        from .metrics import MetricError
-
-        if not isinstance(exc, (MetricError, MissingApiKey)):
-            raise
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

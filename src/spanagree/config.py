@@ -29,6 +29,14 @@ class TemplateError(ValueError):
     pass
 
 
+def _is_finite(number: float) -> bool:
+    """math.isfinite, but False, not OverflowError, for an int beyond the float range."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
 class PromptVariant(str, Enum):
     BASE = "base"
     COT = "cot"
@@ -48,14 +56,10 @@ class DecodingParams:
     seed: int | None = 42
 
     def __post_init__(self):
-        # Stored as a float, so that equal settings (0 and 0.0) key the cache alike.
-        try:
-            temperature = float(self.temperature)
-        except OverflowError:  # an int beyond the float range
-            temperature = math.inf
-        if not math.isfinite(temperature):
+        if not _is_finite(self.temperature):
             raise ValueError(f"temperature must be finite, got {self.temperature}")
-        object.__setattr__(self, "temperature", temperature)
+        # Stored as a float, so that equal settings (0 and 0.0) key the cache alike.
+        object.__setattr__(self, "temperature", float(self.temperature))
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,7 @@ class DissimilarityConfig:
     delta_empty: float = 1.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.alpha, self.beta, self.delta_empty))):
+        if not all(map(_is_finite, (self.alpha, self.beta, self.delta_empty))):
             raise ValueError(
                 f"dissimilarity weights must be finite, got alpha={self.alpha}, "
                 f"beta={self.beta}, delta_empty={self.delta_empty}"

@@ -111,7 +111,8 @@ def _version() -> str:
 
 def write_report_json(path: str | Path, payload: dict) -> None:
     Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
+        json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8",
+        newline="\n",
     )
 
 

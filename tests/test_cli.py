@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 
 import spanagree
 from spanagree import cli
-from spanagree.annotator import MockAdapter
+from spanagree.annotator import MockAdapter, OpenAIChatAdapter, ProviderError
 from spanagree.annotator.runner import cache_key
 from spanagree.cli import ConfigError, _apply_overrides, build_parser, load_run_config, main
 
@@ -166,7 +167,9 @@ class TestExitCodes:
         assert main(["stats", "--config", str(path), "gold"]) == 2
         assert "bogus" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("literal", [
+        "NaN", "Infinity", pytest.param("1" + "0" * 400, id="int-beyond-float-range"),
+    ])
     @pytest.mark.parametrize("section, key", [
         ("metrics.gamma", "alpha"),
         ("metrics.gamma", "beta"),
@@ -223,6 +226,61 @@ class TestExitCodes:
         assert main(["annotate", "--config", str(path)]) == 130
         # one line, no traceback
         assert capsys.readouterr().err == "interrupted\n"
+
+    @pytest.mark.parametrize("bug", [RuntimeError("bug"), KeyError("bug")])
+    def test_other_exception_types_propagate(self, mock_config, monkeypatch, bug):
+        # Only ValueError and OSError are the user's to fix; the rest are bugs.
+        path, _ = mock_config
+
+        def broken(*args, **kwargs):
+            raise bug
+
+        monkeypatch.setattr(cli, "aggregate", broken)
+        with pytest.raises(type(bug)):
+            main(["evaluate", "--config", str(path), "gold", "gold"])
+
+    @pytest.mark.parametrize("command, key", [
+        *(("evaluate", key) for key in ("corpus", "categories", "output_dir", "campaigns.gold")),
+        ("annotate", "cache"),
+        *(("annotate", f"annotator.{key}") for key in (
+            "model_id", "annotator_id", "variant", "schema_mode", "max_retries",
+            "concurrency", "fewshot", "temperature", "seed")),
+        *(("annotate", f"annotator.provider.{key}")
+          for key in ("kind", "base_url", "api_key_env", "replies")),
+        *(("evaluate", f"metrics.gamma.{key}")
+          for key in ("alpha", "beta", "delta_empty", "n_samples", "seed")),
+    ])
+    def test_hostile_run_json_value_exits_0_2_or_3(
+        self, mock_config, capsys, monkeypatch, command, key
+    ):
+        def offline(*args, **kwargs):
+            raise ProviderError("offline")
+
+        # No value may make the sweep send a request.
+        monkeypatch.setattr(OpenAIChatAdapter, "complete", offline)
+        path, _ = mock_config
+        config = json.loads(path.read_text())
+        *parents, last = key.split(".")
+        if last in ("base_url", "api_key_env"):
+            # Read only by the HTTP adapter.
+            config["annotator"]["provider"] = {
+                "kind": "openai", "api_key_env": "SPANAGREE_SWEEP_KEY",
+                "base_url": "https://provider.invalid/v1",
+            }
+            monkeypatch.setenv("SPANAGREE_SWEEP_KEY", "sk-unit")
+        names = ["gold", "gold"] if command == "evaluate" else []
+        codes = {}
+        for value in ["\u0000", "a\u0000b", 10**400, -1, 0, "", [], {}, True, None]:
+            if key == "annotator.max_retries" and value == 10**400:
+                continue  # valid, but fixture example ex03 never parses: endless retries
+            section = config
+            for part in parents:
+                section = section[part]
+            section[last] = value
+            path.write_text(json.dumps(config))
+            codes[repr(value)[:12]] = main([command, "--config", str(path), *names])
+        capsys.readouterr()
+        assert set(codes.values()) <= {0, 2, 3}, codes
 
     @pytest.mark.parametrize("argv", [
         ["stats", "gold", "--seed", "1"],
@@ -683,6 +741,32 @@ class TestCommands:
             assert all(getattr(cli, name) is getattr(owner, name) for name in names)
         with pytest.raises(AttributeError, match="no_such_name"):
             cli.no_such_name
+
+    @pytest.mark.filterwarnings("ignore:'spanagree.cli' found in sys.modules:RuntimeWarning")
+    def test_commands_run_through_runpy(self, mock_config, capsys, monkeypatch):
+        # run_module runs the file in a namespace that no module owns, as
+        # `python -m cProfile -m spanagree.cli` does.
+        path, out = mock_config
+        for argv in (["stats", "--config", str(path), "gold"],
+                     ["evaluate", "--config", str(path), "gold", "gold"]):
+            monkeypatch.setattr(sys, "argv", ["spanagree", *argv])
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_module("spanagree.cli", run_name="__main__")
+            assert exc.value.code == 0
+        stdout = capsys.readouterr().out
+        assert stdout.startswith("annotator: gold\n") and "\ngold vs gold: " in stdout
+        assert (out / "report.json").exists()
+
+    def test_evaluate_runs_under_cprofile(self, mock_config):
+        path, out = mock_config
+        src = Path(spanagree.__file__).parent.parent
+        result = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-o", os.devnull, "-m", "spanagree.cli",
+             "evaluate", "--config", str(path), "gold", "gold"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert (out / "report.json").exists()
 
     def test_output_override(self, mock_config, tmp_path):
         path, _ = mock_config

@@ -82,7 +82,10 @@ class TestDissimilarity:
             DissimilarityConfig(alpha=0.0, beta=0.0)
 
     @pytest.mark.parametrize("name", ["alpha", "beta", "delta_empty"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"),
+        pytest.param(10**400, id="int-beyond-float-range"),
+    ])
     def test_non_finite_weights_rejected(self, name, value):
         with pytest.raises(ValueError, match="must be finite"):
             DissimilarityConfig(**{name: value})
