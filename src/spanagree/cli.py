@@ -146,23 +146,23 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         meta={"config_hash": config.config_hash},
     )
     _cli.write_report_json(config.output_dir / "report.json", payload)
-    _cli.write_summary_csv(config.output_dir / "summary.csv", score_report)
-    _cli.write_per_example_csv(config.output_dir / "per_example.csv", score_report)
-    _cli.write_confusion_csv(config.output_dir / "confusion.csv", confusion, dataset.categories)
+    _cli.write_summary_csv(config.output_dir / "summary.csv", payload)
+    _cli.write_per_example_csv(config.output_dir / "per_example.csv", payload)
+    _cli.write_confusion_csv(config.output_dir / "confusion.csv", payload)
 
-    fmt3 = _cli.fmt3
+    fmt3, metrics, counts = _cli.fmt3, payload["metrics"], payload["counts"]
     print(
-        f"{score_report.candidate_id} vs {score_report.reference_id}: "
-        f"pearson={fmt3(score_report.pearson)} "
-        f"F1(hard)={fmt3(score_report.f1_hard)} "
-        f"F1(soft)={fmt3(score_report.f1_soft)} "
-        f"gamma={fmt3(score_report.gamma)} "
-        f"s_empty={fmt3(score_report.s_empty)}"
+        f"{payload['candidate']} vs {payload['reference']}: "
+        f"pearson={fmt3(metrics['pearson'])} "
+        f"F1(hard)={fmt3(metrics['f1_hard'])} "
+        f"F1(soft)={fmt3(metrics['f1_soft'])} "
+        f"gamma={fmt3(metrics['gamma'])} "
+        f"s_empty={fmt3(metrics['s_empty'])}"
     )
     print(
-        f"examples: {score_report.n_examples} "
-        f"(scored {score_report.n_scored}, empty-routed {score_report.n_empty_scored}, "
-        f"failed {score_report.n_failed}, gamma-skipped {score_report.n_gamma_skipped})"
+        f"examples: {counts['examples']} "
+        f"(scored {counts['scored']}, empty-routed {counts['empty_scored']}, "
+        f"failed {counts['failed']}, gamma-skipped {counts['gamma_skipped']})"
     )
     print(f"wrote {config.output_dir / 'report.json'}")
     return EXIT_OK

@@ -110,10 +110,15 @@ class AnnotatorConfig:
     fewshot_examples: tuple[FewshotExample, ...] = ()
 
     def __post_init__(self):
+        # The caps keep any run.json value from asking for endless work.
         if self.max_retries < 1:
             raise ValueError("max_retries must be at least 1")
+        if self.max_retries > 100:
+            raise ValueError("max_retries must be at most 100")
         if self.concurrency_limit < 1:
             raise ValueError("concurrency_limit must be at least 1")
+        if self.concurrency_limit > 64:
+            raise ValueError("concurrency_limit must be at most 64")
 
     @property
     def resolved_annotator_id(self) -> str:
@@ -172,6 +177,8 @@ class GammaConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
+        if self.n_samples > 10_000:  # so that no run.json value resamples without end
+            raise ValueError("n_samples must be at most 10000")
 
 
 @dataclass
@@ -226,7 +233,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     raw_bytes = path.read_bytes()
     base = path.parent
     try:
-        raw = decode_json(raw_bytes)
+        raw = decode_json(raw_bytes.decode("utf-8"))
         check_object(
             raw,
             {"corpus": str, "categories": str, "output_dir": str},
@@ -273,6 +280,8 @@ def load_run_config(path: str | Path) -> RunConfig:
             dissimilarity=DissimilarityConfig(**_fields(gamma_raw, _DISSIMILARITY_KEYS)),
             **_fields(gamma_raw, _GAMMA_KEYS),
         )
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 at byte {exc.start}") from exc
     except ValueError as exc:  # also invalid JSON, IngestError and TemplateError
         raise ConfigError(f"{path}: {exc}") from exc
 

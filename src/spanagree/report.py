@@ -1,5 +1,7 @@
-"""Score-report serialization: JSON keeps full float precision for
-programmatic use, CSV tables render 3 decimals for reading."""
+"""Score-report serialization. ``report_to_dict`` builds the one payload
+of an evaluation: ``report.json`` holds it at full precision for
+programmatic use, and the CSV tables render it, or the payload read back
+from ``report.json``, at 3 decimals for reading."""
 
 from __future__ import annotations
 
@@ -7,14 +9,14 @@ import csv
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
+from . import __version__
 from .metrics import CampaignStats, ConfusionMatrix, ScoreReport
 from .model import CategorySet
 
-SUMMARY_COLUMNS = [
-    "candidate",
-    "reference",
+# summary.csv shows the candidate and reference ids, then these metrics.
+METRIC_COLUMNS = [
     "pearson",
     "precision_hard",
     "precision_soft",
@@ -42,38 +44,23 @@ PER_EXAMPLE_COLUMNS = [
     "gamma",
 ]
 
-
-# Columns named differently from the field they show.
-_FIELD_NAMES = {"candidate": "candidate_id", "reference": "reference_id"}
-
 # Columns written as they are; every other column is a float rendered by fmt3.
-_RAW_COLUMNS = {"candidate", "reference", "example_id", "status", "n_reference", "n_candidate"}
+_RAW_COLUMNS = {"example_id", "status", "n_reference", "n_candidate"}
 
 
 def fmt3(value: float | None) -> str:
     return "" if value is None else f"{value:.3f}"
 
 
-def _values(record: Any, columns: list[str]) -> dict[str, Any]:
-    return {column: getattr(record, _FIELD_NAMES.get(column, column)) for column in columns}
-
-
-def _csv_row(values: dict[str, Any]) -> list:
-    return [
-        value if column in _RAW_COLUMNS else fmt3(value)
-        for column, value in values.items()
-    ]
-
-
 def report_to_dict(
     report: ScoreReport,
-    confusion: ConfusionMatrix | None = None,
-    categories: CategorySet | None = None,
+    confusion: ConfusionMatrix,
+    categories: CategorySet,
     meta: dict[str, Any] | None = None,
 ) -> dict:
     """Full-precision payload with everything needed to reproduce it."""
-    payload: dict[str, Any] = {
-        "tool": {"name": "spanagree", "version": _version()},
+    return {
+        "tool": {"name": "spanagree", "version": __version__},
         **(meta or {}),
         "reference": report.reference_id,
         "candidate": report.candidate_id,
@@ -87,26 +74,17 @@ def report_to_dict(
             for f in dataclasses.fields(report)
             if f.name.startswith("n_")
         },
-        "metrics": {
-            column: value
-            for column, value in _values(report, SUMMARY_COLUMNS).items()
-            if column not in _RAW_COLUMNS
-        },
-        "examples": [_values(row, PER_EXAMPLE_COLUMNS) for row in report.examples],
-    }
-    if confusion is not None:
-        payload["confusion"] = {
-            "categories": [c.name for c in categories] if categories else None,
+        "metrics": {column: getattr(report, column) for column in METRIC_COLUMNS},
+        "examples": [
+            {column: getattr(row, column) for column in PER_EXAMPLE_COLUMNS}
+            for row in report.examples
+        ],
+        "confusion": {
+            "categories": [c.name for c in categories],
             "counts": confusion.counts,
             "row_normalized": confusion.normalized(),
-        }
-    return payload
-
-
-def _version() -> str:
-    from . import __version__
-
-    return __version__
+        },
+    }
 
 
 def write_report_json(path: str | Path, payload: dict) -> None:
@@ -116,30 +94,30 @@ def write_report_json(path: str | Path, payload: dict) -> None:
     )
 
 
-def write_summary_csv(path: str | Path, report: ScoreReport) -> None:
+def _write_csv(path: str | Path, rows: Iterable[list]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        writer.writerow(_csv_row(_values(report, SUMMARY_COLUMNS)))
+        csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
-def write_per_example_csv(path: str | Path, report: ScoreReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(PER_EXAMPLE_COLUMNS)
-        for row in report.examples:
-            writer.writerow(_csv_row(_values(row, PER_EXAMPLE_COLUMNS)))
+def write_summary_csv(path: str | Path, payload: dict) -> None:
+    metrics = [fmt3(payload["metrics"][column]) for column in METRIC_COLUMNS]
+    _write_csv(path, [["candidate", "reference", *METRIC_COLUMNS],
+                      [payload["candidate"], payload["reference"], *metrics]])
 
 
-def write_confusion_csv(
-    path: str | Path, confusion: ConfusionMatrix, categories: CategorySet
-) -> None:
-    names = [c.name for c in categories]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["reference\\candidate", *names])
-        for name, row in zip(names, confusion.counts):
-            writer.writerow([name, *row])
+def write_per_example_csv(path: str | Path, payload: dict) -> None:
+    rows = (
+        [row[column] if column in _RAW_COLUMNS else fmt3(row[column])
+         for column in PER_EXAMPLE_COLUMNS]
+        for row in payload["examples"]
+    )
+    _write_csv(path, [PER_EXAMPLE_COLUMNS, *rows])
+
+
+def write_confusion_csv(path: str | Path, payload: dict) -> None:
+    names, counts = payload["confusion"]["categories"], payload["confusion"]["counts"]
+    _write_csv(path, [["reference\\candidate", *names],
+                      *([name, *row] for name, row in zip(names, counts))])
 
 
 def stats_lines(annotator_id: str, stats: CampaignStats) -> list[str]:

@@ -271,8 +271,6 @@ class TestExitCodes:
         names = ["gold", "gold"] if command == "evaluate" else []
         codes = {}
         for value in ["\u0000", "a\u0000b", 10**400, -1, 0, "", [], {}, True, None]:
-            if key == "annotator.max_retries" and value == 10**400:
-                continue  # valid, but fixture example ex03 never parses: endless retries
             section = config
             for part in parents:
                 section = section[part]
@@ -443,13 +441,32 @@ class TestExitCodes:
                      "concurrency_limit must be at least 1", id="annotate-run.json-concurrency-0"),
         pytest.param("evaluate", "run.json", "metrics.gamma.n_samples", 0,
                      "n_samples must be at least 1", id="evaluate-run.json-n_samples-0"),
+        *(pytest.param("annotate", "run.json", "annotator.max_retries", value,
+                       "max_retries must be at most 100",
+                       id=f"annotate-run.json-max_retries-{name}")
+          for name, value in (("101", 101), ("1e400", 10**400))),
+        *(pytest.param("annotate", "run.json", "annotator.concurrency", value,
+                       "concurrency_limit must be at most 64",
+                       id=f"annotate-run.json-concurrency-{name}")
+          for name, value in (("65", 65), ("1e400", 10**400))),
+        *(pytest.param("evaluate", "run.json", "metrics.gamma.n_samples", value,
+                       "n_samples must be at most 10000",
+                       id=f"evaluate-run.json-n_samples-{name}")
+          for name, value in (("10001", 10_001), ("1e400", 10**400))),
     ])
     def test_malformed_input_exits_2_naming_file_and_key(
-        self, relative_run, capsys, command, file, key, value, named
+        self, relative_run, capsys, monkeypatch, command, file, key, value, named
     ):
         # the llm campaign to evaluate against, from the valid inputs
         assert main(["annotate", "--config", str(relative_run)]) == 0
         capsys.readouterr()
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("a malformed input must exit before any work")
+
+        # No request, thread or resample before the exit.
+        monkeypatch.setattr(cli, "annotate_dataset", not_reached)
+        monkeypatch.setattr(cli, "aggregate", not_reached)
         target = relative_run.parent / file
         jsonl = file.endswith(".jsonl")
         lines = target.read_bytes().splitlines(keepends=True)
@@ -475,6 +492,18 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert (f"{file}:1: " if jsonl else f"{file}: ") in err
         assert named in err
+
+    @pytest.mark.parametrize("encode, named", [
+        (lambda text: b"\xef\xbb\xbf" + text.encode("utf-8"), "Unexpected UTF-8 BOM"),
+        (lambda text: text.encode("utf-16"), "not UTF-8 at byte 0"),
+    ], ids=["bom", "utf-16"])
+    def test_run_json_is_read_as_utf8(self, relative_run, capsys, encode, named):
+        # Like every other input file: json.loads alone would take both.
+        relative_run.write_bytes(encode(relative_run.read_text(encoding="utf-8")))
+        assert main(["stats", "--config", str(relative_run), "gold"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{relative_run}: " in err and named in err
 
     @pytest.mark.parametrize("variant, shots, drop_source, named", [
         ("fiveshot", 3, False, "fiveshot needs exactly 5 examples, got 3"),
@@ -827,3 +856,17 @@ class TestGoldenOutputs:
             for name in GOLDEN_OUTPUT_DIGESTS
         }
         assert digests == GOLDEN_OUTPUT_DIGESTS
+
+    def test_csv_tables_are_views_of_report_json(self, relative_run, tmp_path):
+        # An archived report.json regenerates the three tables byte for byte.
+        out = relative_run.parent / "out"
+        assert main(["annotate", "--config", str(relative_run)]) == 0
+        assert main(["evaluate", "--config", str(relative_run), "gold", "llm"]) == 0
+        payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        again = tmp_path / "again"
+        again.mkdir()
+        for name, write in [("summary.csv", cli.write_summary_csv),
+                            ("per_example.csv", cli.write_per_example_csv),
+                            ("confusion.csv", cli.write_confusion_csv)]:
+            write(again / name, payload)
+            assert (again / name).read_bytes() == (out / name).read_bytes(), name

@@ -330,7 +330,10 @@ class TestAggregate:
         a = aggregate(dataset, ref, cand)
         b = aggregate(dataset, ref, cand)
         assert a == b
-        assert json.dumps(report_to_dict(a)) == json.dumps(report_to_dict(b))
+        confusion = confusion_matrix(ref, cand, dataset.k)
+        assert json.dumps(report_to_dict(a, confusion, dataset.categories)) == json.dumps(
+            report_to_dict(b, confusion, dataset.categories)
+        )
 
     def test_means_match_per_example_table(self):
         rng = random.Random(8)
