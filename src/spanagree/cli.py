@@ -30,9 +30,9 @@ EXIT_INTERRUPTED = 130
 # The names this module takes from the annotate runtime and the scorer.
 # Each is imported on first use, through the module __getattr__ below,
 # so `import spanagree.cli` loads neither and each command loads only its
-# own modules. The commands look the names up through `_cli`, in the
-# namespace the module runs in, so patching `cli.annotate_dataset` or
-# `cli.aggregate` still reaches them.
+# own modules. The commands look the names up as attributes of this
+# module, `_cli`, so patching `cli.annotate_dataset` or `cli.aggregate`
+# still reaches them.
 _DEFERRED = {
     "annotator.adapters": ("MockAdapter", "OpenAIChatAdapter"),
     "annotator.runner": ("annotate_dataset", "trace_record"),
@@ -51,17 +51,7 @@ def __getattr__(name: str):
     return value
 
 
-class _Names:
-    """The deferred names as the commands see them, read from globals():
-    runpy.run_module, as `python -m cProfile -m spanagree.cli` calls it,
-    runs this file in a namespace that no module in sys.modules owns."""
-
-    def __getattr__(self, name: str):
-        namespace = globals()
-        return namespace[name] if name in namespace else namespace["__getattr__"](name)
-
-
-_cli = _Names()
+_cli = sys.modules[__name__]
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -233,4 +223,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # runpy, as `python -m cProfile -m` uses it, runs this file in a
+    # namespace that no module owns, so run the importable module instead.
+    from spanagree.cli import main
     sys.exit(main())

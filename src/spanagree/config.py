@@ -282,7 +282,9 @@ def load_run_config(path: str | Path) -> RunConfig:
         )
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 at byte {exc.start}") from exc
-    except ValueError as exc:  # also invalid JSON, IngestError and TemplateError
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except ValueError as exc:  # also IngestError and TemplateError
         raise ConfigError(f"{path}: {exc}") from exc
 
     return RunConfig(

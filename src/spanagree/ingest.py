@@ -29,6 +29,11 @@ from .model import (
 
 BUNDLED_TASKS = ("d2t", "mt", "propaganda")
 
+# The confusion matrix, report.json and confusion.csv each hold k x k
+# cells for k categories, so a long category file would make `evaluate`
+# quadratic in its size. The bundled inventories have 6, 2 and 18.
+MAX_CATEGORIES = 256
+
 
 class IngestError(ValueError):
     pass
@@ -151,6 +156,8 @@ def load_category_file(path: str | Path) -> CategoryFile:
     entries = payload["categories"]
     if not entries:
         raise IngestError(f"{path}: categories must be a non-empty list")
+    if len(entries) > MAX_CATEGORIES:
+        raise IngestError(f"{path}: at most {MAX_CATEGORIES} categories, got {len(entries)}")
     categories = []
     for pos, entry in enumerate(entries):
         check_object(

@@ -403,6 +403,7 @@ class TestExitCodes:
         ("evaluate", "gold.jsonl", "annotations", 5, "annotations"),
         ("evaluate", "gold.jsonl", "example_id", [1], "example_id"),
         ("annotate", "replies.jsonl", None, b"{not json", "invalid JSON"),
+        ("evaluate", "run.json", None, b"{not json", "invalid JSON"),
         ("annotate", "replies.jsonl", "example_id", DELETE, "example_id"),
         ("annotate", "replies.jsonl", "replies", [], "replies"),
         pytest.param("evaluate", "corpus.jsonl", None, b"[" * 100_000, "nested too deeply",
@@ -424,6 +425,9 @@ class TestExitCodes:
                      "lone surrogate escape \\ud800", id="annotate-run.json-output_dir-surrogate"),
         pytest.param("evaluate", "categories.json", "categories", [],
                      "categories must be a non-empty list", id="evaluate-categories.json-empty"),
+        pytest.param("evaluate", "categories.json", "categories",
+                     [{"index": i, "name": f"c{i}"} for i in range(257)],
+                     "at most 256 categories, got 257", id="evaluate-categories.json-257"),
         pytest.param("evaluate", "categories.json", None, b'{"task": "caf\xe9"}', "not UTF-8",
                      id="evaluate-categories.json-not-utf8"),
         pytest.param("evaluate", "corpus.jsonl", "text", "", "has empty text",
