@@ -8,20 +8,20 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Protocol
 
 from ..config import DecodingParams
 from ..ingest import IngestError, KeyTypes, ParseError, check_object, decode_json, read_jsonl
+from ..model import FrozenRecord
 
 
-@dataclass(frozen=True)
-class CompletionResult:
-    text: str
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-    latency_s: float = 0.0
+class CompletionResult(FrozenRecord):
+    __slots__ = ("text", "prompt_tokens", "completion_tokens", "latency_s")
+
+    def __init__(self, text: str, prompt_tokens: int = 0, completion_tokens: int = 0,
+                 latency_s: float = 0.0):
+        self._init(text, prompt_tokens, completion_tokens, latency_s)
 
 
 class ProviderError(RuntimeError):

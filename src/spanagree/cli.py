@@ -14,7 +14,6 @@ import argparse
 import importlib
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 # TemplateError is not used here, but spanagree.cli has always handed it out.
@@ -51,18 +50,17 @@ def __getattr__(name: str):
     return value
 
 
-_cli = sys.modules[__name__]
+_cli = importlib.import_module(__name__)
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.output is not None:
         config.output_dir = Path(args.output)
     if args.seed is not None:
-        config.gamma = replace(config.gamma, seed=args.seed)
+        config.gamma = config.gamma.replace(seed=args.seed)
         if config.annotator is not None:
-            config.annotator = replace(
-                config.annotator,
-                decoding=replace(config.annotator.decoding, seed=args.seed),
+            config.annotator = config.annotator.replace(
+                decoding=config.annotator.decoding.replace(seed=args.seed)
             )
     if getattr(args, "mock", None) is not None:
         config.provider = ProviderSettings(kind="mock", replies=Path(args.mock))

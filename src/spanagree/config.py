@@ -4,8 +4,7 @@
 ``RunConfig``: paths, the annotator and provider settings, and the gamma
 settings. The types live here, away from the code that uses them, so
 that reading a config loads neither the annotate runtime nor the scorer:
-of spanagree, this module imports only ``ingest``, which imports
-``model``.
+of spanagree, this module imports only ``ingest`` and ``model``.
 """
 
 from __future__ import annotations
@@ -13,12 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
 from .ingest import IngestError, check_object, decode_json
+from .model import FrozenRecord, Record
 
 
 class ConfigError(ValueError):
@@ -50,26 +49,24 @@ class SchemaMode(str, Enum):
     FREEFORM = "freeform"
 
 
-@dataclass(frozen=True)
-class DecodingParams:
-    temperature: float = 0.0
-    seed: int | None = 42
+class DecodingParams(FrozenRecord):
+    __slots__ = ("temperature", "seed")
 
-    def __post_init__(self):
-        if not _is_finite(self.temperature):
-            raise ValueError(f"temperature must be finite, got {self.temperature}")
+    def __init__(self, temperature: float = 0.0, seed: int | None = 42):
+        if not _is_finite(temperature):
+            raise ValueError(f"temperature must be finite, got {temperature}")
         # Stored as a float, so that equal settings (0 and 0.0) key the cache alike.
-        object.__setattr__(self, "temperature", float(self.temperature))
+        self._init(float(temperature), seed)
 
 
-@dataclass(frozen=True)
-class FewshotExample:
+class FewshotExample(FrozenRecord):
     """One worked example for the few-shot addendum: the input data, the
     target text, and the expected annotations as a JSON string."""
 
-    text: str
-    annotations_json: str
-    data: str | None = None
+    __slots__ = ("text", "annotations_json", "data")
+
+    def __init__(self, text: str, annotations_json: str, data: str | None = None):
+        self._init(text, annotations_json, data)
 
 
 def fewshot_from_config(entries: Sequence[dict]) -> tuple[FewshotExample, ...]:
@@ -96,64 +93,62 @@ def fewshot_from_config(entries: Sequence[dict]) -> tuple[FewshotExample, ...]:
     return tuple(shots)
 
 
-@dataclass(frozen=True)
-class AnnotatorConfig:
+class AnnotatorConfig(FrozenRecord):
     """Everything that identifies one annotation run."""
 
-    model_id: str
-    variant: PromptVariant = PromptVariant.BASE
-    decoding: DecodingParams = field(default_factory=DecodingParams)
-    schema_mode: SchemaMode = SchemaMode.FREEFORM
-    max_retries: int = 3
-    concurrency_limit: int = 1
-    annotator_id: str = ""
-    fewshot_examples: tuple[FewshotExample, ...] = ()
+    __slots__ = ("model_id", "variant", "decoding", "schema_mode", "max_retries",
+                 "concurrency_limit", "annotator_id", "fewshot_examples")
 
-    def __post_init__(self):
+    def __init__(self, model_id: str, variant: PromptVariant = PromptVariant.BASE,
+                 decoding: DecodingParams = DecodingParams(),
+                 schema_mode: SchemaMode = SchemaMode.FREEFORM, max_retries: int = 3,
+                 concurrency_limit: int = 1, annotator_id: str = "",
+                 fewshot_examples: tuple[FewshotExample, ...] = ()):
         # The caps keep any run.json value from asking for endless work.
-        if self.max_retries < 1:
+        if max_retries < 1:
             raise ValueError("max_retries must be at least 1")
-        if self.max_retries > 100:
+        if max_retries > 100:
             raise ValueError("max_retries must be at most 100")
-        if self.concurrency_limit < 1:
+        if concurrency_limit < 1:
             raise ValueError("concurrency_limit must be at least 1")
-        if self.concurrency_limit > 64:
+        if concurrency_limit > 64:
             raise ValueError("concurrency_limit must be at most 64")
+        self._init(model_id, variant, decoding, schema_mode, max_retries,
+                   concurrency_limit, annotator_id, fewshot_examples)
 
     @property
     def resolved_annotator_id(self) -> str:
         return self.annotator_id or f"{self.model_id}-{self.variant.value}"
 
 
-@dataclass
-class ProviderSettings:
-    kind: str = "openai"
-    base_url: str = "https://api.openai.com/v1"
-    api_key_env: str = "OPENAI_API_KEY"
-    replies: Path | None = None  # mock only
+class ProviderSettings(Record):
+    """Where requests go; ``replies`` is read by the mock provider only."""
+
+    __slots__ = ("kind", "base_url", "api_key_env", "replies")
+
+    def __init__(self, kind: str = "openai", base_url: str = "https://api.openai.com/v1",
+                 api_key_env: str = "OPENAI_API_KEY", replies: Path | None = None):
+        self._init(kind, base_url, api_key_env, replies)
 
 
-@dataclass(frozen=True)
-class DissimilarityConfig:
+class DissimilarityConfig(FrozenRecord):
     """Weights for the combined unit dissimilarity.
 
     ``delta_empty`` is both the overall cost scale and the penalty paid
     for every unit left out of the alignment.
     """
 
-    alpha: float = 1.0
-    beta: float = 1.0
-    delta_empty: float = 1.0
+    __slots__ = ("alpha", "beta", "delta_empty")
 
-    def __post_init__(self):
-        if not all(map(_is_finite, (self.alpha, self.beta, self.delta_empty))):
+    def __init__(self, alpha: float = 1.0, beta: float = 1.0, delta_empty: float = 1.0):
+        if not all(map(_is_finite, (alpha, beta, delta_empty))):
             raise ValueError(
-                f"dissimilarity weights must be finite, got alpha={self.alpha}, "
-                f"beta={self.beta}, delta_empty={self.delta_empty}"
+                f"dissimilarity weights must be finite, got alpha={alpha}, "
+                f"beta={beta}, delta_empty={delta_empty}"
             )
-        if self.alpha < 0 or self.beta < 0 or self.delta_empty < 0:
+        if alpha < 0 or beta < 0 or delta_empty < 0:
             raise ValueError("dissimilarity weights must be non-negative")
-        total = self.alpha + self.beta
+        total = alpha + beta
         if total <= 0:
             raise ValueError("alpha + beta must be positive")
         # An infinite sum zeroes the cost scale and an infinite scale turns
@@ -161,37 +156,41 @@ class DissimilarityConfig:
         if not (math.isfinite(total) and math.isfinite(2.0 / total)):
             raise ValueError(
                 f"cost scale 2 / (alpha + beta) must be finite and non-zero, "
-                f"got alpha={self.alpha}, beta={self.beta}"
+                f"got alpha={alpha}, beta={beta}"
             )
+        self._init(alpha, beta, delta_empty)
 
 
-@dataclass(frozen=True)
-class GammaConfig:
+class GammaConfig(FrozenRecord):
     """Settings for the chance-corrected score: dissimilarity weights
     plus the resampling budget and seed for expected disorder."""
 
-    dissimilarity: DissimilarityConfig = field(default_factory=DissimilarityConfig)
-    n_samples: int = 30
-    seed: int = 42
+    __slots__ = ("dissimilarity", "n_samples", "seed")
 
-    def __post_init__(self):
-        if self.n_samples < 1:
+    def __init__(self, dissimilarity: DissimilarityConfig = DissimilarityConfig(),
+                 n_samples: int = 30, seed: int = 42):
+        if n_samples < 1:
             raise ValueError("n_samples must be at least 1")
-        if self.n_samples > 10_000:  # so that no run.json value resamples without end
+        if n_samples > 10_000:  # so that no run.json value resamples without end
             raise ValueError("n_samples must be at most 10000")
+        self._init(dissimilarity, n_samples, seed)
 
 
-@dataclass
-class RunConfig:
-    corpus: Path
-    categories: Path
-    output_dir: Path
-    campaigns: dict[str, Path] = field(default_factory=dict)
-    cache: Path | None = None
-    annotator: AnnotatorConfig | None = None
-    provider: ProviderSettings = field(default_factory=ProviderSettings)
-    gamma: GammaConfig = field(default_factory=GammaConfig)
-    config_hash: str = ""
+class RunConfig(Record):
+    """A parsed run.json. ``campaigns`` and ``provider`` default to a new
+    empty dict and new ``ProviderSettings``."""
+
+    __slots__ = ("corpus", "categories", "output_dir", "campaigns", "cache",
+                 "annotator", "provider", "gamma", "config_hash")
+
+    def __init__(self, corpus: Path, categories: Path, output_dir: Path,
+                 campaigns: dict[str, Path] | None = None, cache: Path | None = None,
+                 annotator: AnnotatorConfig | None = None,
+                 provider: ProviderSettings | None = None,
+                 gamma: GammaConfig = GammaConfig(), config_hash: str = ""):
+        self._init(corpus, categories, output_dir, {} if campaigns is None else campaigns,
+                   cache, annotator, ProviderSettings() if provider is None else provider,
+                   gamma, config_hash)
 
 
 def _resolve(base: Path, value: str) -> Path:
@@ -200,7 +199,7 @@ def _resolve(base: Path, value: str) -> Path:
 
 
 # Each config section's optional keys and their JSON types. An omitted
-# key, or null, takes the default of the dataclass field it fills; only
+# key, or null, takes the default of the constructor parameter it fills; only
 # annotator.seed keeps null, because DecodingParams.seed may be None.
 _ANNOTATOR_KEYS = {"annotator_id": str, "variant": str, "schema_mode": str,
                    "max_retries": int, "concurrency": int, "fewshot": list}
@@ -209,7 +208,7 @@ _PROVIDER_KEYS = {"kind": str, "base_url": str, "api_key_env": str, "replies": s
 _DISSIMILARITY_KEYS = dict.fromkeys(("alpha", "beta", "delta_empty"), (int, float))
 _GAMMA_KEYS = {"n_samples": int, "seed": int}
 
-# Config keys whose dataclass field has another name or type.
+# Config keys whose constructor parameter has another name or type.
 _FIELD_NAMES = {"concurrency": "concurrency_limit", "fewshot": "fewshot_examples"}
 _FIELD_TYPES = {
     "variant": PromptVariant,
@@ -219,7 +218,7 @@ _FIELD_TYPES = {
 
 
 def _fields(section: dict, keys: dict) -> dict:
-    """Dataclass keyword arguments for the keys the section gives."""
+    """Constructor keyword arguments for the keys the section gives."""
     return {
         _FIELD_NAMES.get(key, key): _FIELD_TYPES.get(key, lambda v: v)(section[key])
         for key in keys
@@ -256,7 +255,7 @@ def load_run_config(path: str | Path) -> RunConfig:
             decoding = DecodingParams(**_fields(section, _DECODING_KEYS))
             if "seed" in section and section["seed"] is None:
                 # DecodingParams.seed is optional: null sends unseeded requests.
-                decoding = replace(decoding, seed=None)
+                decoding = decoding.replace(seed=None)
             annotator = AnnotatorConfig(
                 model_id=section["model_id"],
                 decoding=decoding,

@@ -14,11 +14,10 @@ import hashlib
 import logging
 import random
 from array import array
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from ..config import DissimilarityConfig, GammaConfig
-from ..model import ModelError, SpanAnnotation
+from ..model import FrozenRecord, ModelError, SpanAnnotation
 from .dissimilarity import Unit, pair_cost_matrix, pair_costs
 from .solver import solve_assignment
 
@@ -31,16 +30,16 @@ _COST_RTOL = 1e-9
 ORACLE_LIMIT = 6
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(FrozenRecord):
     """A best alignment: matched index pairs, leftover units per side,
     and the total cost of the structure (pair costs plus one
     delta_empty penalty per unaligned unit)."""
 
-    pairs: tuple[tuple[int, int], ...]
-    unaligned_left: tuple[int, ...]
-    unaligned_right: tuple[int, ...]
-    disorder: float
+    __slots__ = ("pairs", "unaligned_left", "unaligned_right", "disorder")
+
+    def __init__(self, pairs: tuple[tuple[int, int], ...], unaligned_left: tuple[int, ...],
+                 unaligned_right: tuple[int, ...], disorder: float):
+        self._init(pairs, unaligned_left, unaligned_right, disorder)
 
 
 def _build_alignment(

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import Any
 
 from .ingest import reject_lone_surrogates
-from .model import SpanAnnotation
+from .model import FrozenRecord, Record, SpanAnnotation
 
 _OPEN, _CLOSE = "<think>", "</think>"
 _DECODER = json.JSONDecoder()
@@ -26,26 +25,28 @@ class GroundingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RawAnnotation:
+class RawAnnotation(FrozenRecord):
     """One annotation exactly as the model emitted it, before grounding."""
 
-    reason: str
-    text: str
-    type: int
+    __slots__ = ("reason", "text", "type")
+
+    def __init__(self, reason: str, text: str, type: int):
+        self._init(reason, text, type)
 
 
-@dataclass
-class GroundingReport:
+class GroundingReport(Record):
     """Counts for one grounding pass. Grounded plus dropped always adds up
     to the number of raw items processed; case_fallbacks counts the
     grounded surfaces found only by case-insensitive matching."""
 
-    grounded: int = 0
-    dropped_unmatched: int = 0
-    dropped_bad_category: int = 0
-    dropped_malformed: int = 0
-    case_fallbacks: int = 0
+    __slots__ = ("grounded", "dropped_unmatched", "dropped_bad_category",
+                 "dropped_malformed", "case_fallbacks")
+
+    def __init__(self, grounded: int = 0, dropped_unmatched: int = 0,
+                 dropped_bad_category: int = 0, dropped_malformed: int = 0,
+                 case_fallbacks: int = 0):
+        self._init(grounded, dropped_unmatched, dropped_bad_category, dropped_malformed,
+                   case_fallbacks)
 
     @property
     def dropped(self) -> int:

@@ -10,7 +10,6 @@ statistics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -22,6 +21,7 @@ from .model import (
     CategorySet,
     Dataset,
     Example,
+    FrozenRecord,
     ModelError,
     SpanAnnotation,
     Trace,
@@ -45,15 +45,15 @@ class ParseError(IngestError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class CategoryFile:
+class CategoryFile(FrozenRecord):
     """Parsed category inventory: the task it belongs to, its overlap
     rule, the categories, and the guideline text rendered into prompts."""
 
-    task: str
-    no_overlap: bool
-    categories: CategorySet
-    guidelines: str
+    __slots__ = ("task", "no_overlap", "categories", "guidelines")
+
+    def __init__(self, task: str, no_overlap: bool, categories: CategorySet,
+                 guidelines: str):
+        self._init(task, no_overlap, categories, guidelines)
 
 
 # Names of the JSON types that check_object takes; (int, float) is a number.

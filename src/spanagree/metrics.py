@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
 from .gamma import GammaConfig, gamma_score
-from .model import Campaign, Dataset, SpanAnnotation
+from .model import Campaign, Dataset, FrozenRecord, SpanAnnotation
 
 
 class MatchMode(str, Enum):
@@ -189,49 +188,50 @@ def s_empty(
     return 1.0 / (1.0 + (len(cand) or len(ref)))
 
 
-@dataclass(frozen=True)
-class ExampleScores:
+class ExampleScores(FrozenRecord):
     """Per-example metric values; exactly one of the F1 family and the
-    empty-agreement score is populated, depending on the routing."""
+    empty-agreement score is populated, depending on the routing.
+    ``status`` is "scored", "s_empty" or "failed"."""
 
-    example_id: str
-    n_reference: int
-    n_candidate: int
-    status: str  # "scored" | "s_empty" | "failed"
-    precision_hard: float | None = None
-    recall_hard: float | None = None
-    f1_hard: float | None = None
-    precision_soft: float | None = None
-    recall_soft: float | None = None
-    f1_soft: float | None = None
-    s_empty: float | None = None
-    gamma: float | None = None
+    __slots__ = ("example_id", "n_reference", "n_candidate", "status",
+                 "precision_hard", "recall_hard", "f1_hard", "precision_soft",
+                 "recall_soft", "f1_soft", "s_empty", "gamma")
+
+    def __init__(self, example_id: str, n_reference: int, n_candidate: int, status: str,
+                 precision_hard: float | None = None, recall_hard: float | None = None,
+                 f1_hard: float | None = None, precision_soft: float | None = None,
+                 recall_soft: float | None = None, f1_soft: float | None = None,
+                 s_empty: float | None = None, gamma: float | None = None):
+        self._init(example_id, n_reference, n_candidate, status, precision_hard,
+                   recall_hard, f1_hard, precision_soft, recall_soft, f1_soft, s_empty,
+                   gamma)
 
 
-@dataclass(frozen=True)
-class ScoreReport:
-    """Aggregate agreement between a candidate and a reference campaign."""
+class ScoreReport(FrozenRecord):
+    """Aggregate agreement between a candidate and a reference campaign.
+    Its repr leaves out the per-example rows."""
 
-    reference_id: str
-    candidate_id: str
-    n_examples: int
-    n_scored: int
-    n_empty_scored: int
-    n_failed: int
-    n_gamma_scored: int
-    n_gamma_skipped: int
-    pearson: float | None
-    precision_hard: float | None
-    recall_hard: float | None
-    f1_hard: float | None
-    precision_soft: float | None
-    recall_soft: float | None
-    f1_soft: float | None
-    f1_delta: float | None
-    gamma: float | None
-    s_empty: float | None
-    gamma_config: GammaConfig
-    examples: tuple[ExampleScores, ...] = field(repr=False, default=())
+    __slots__ = ("reference_id", "candidate_id", "n_examples", "n_scored",
+                 "n_empty_scored", "n_failed", "n_gamma_scored", "n_gamma_skipped",
+                 "pearson", "precision_hard", "recall_hard", "f1_hard", "precision_soft",
+                 "recall_soft", "f1_soft", "f1_delta", "gamma", "s_empty",
+                 "gamma_config", "examples")
+
+    def __init__(self, reference_id: str, candidate_id: str, n_examples: int,
+                 n_scored: int, n_empty_scored: int, n_failed: int, n_gamma_scored: int,
+                 n_gamma_skipped: int, pearson: float | None,
+                 precision_hard: float | None, recall_hard: float | None,
+                 f1_hard: float | None, precision_soft: float | None,
+                 recall_soft: float | None, f1_soft: float | None,
+                 f1_delta: float | None, gamma: float | None, s_empty: float | None,
+                 gamma_config: GammaConfig, examples: tuple[ExampleScores, ...] = ()):
+        self._init(reference_id, candidate_id, n_examples, n_scored, n_empty_scored,
+                   n_failed, n_gamma_scored, n_gamma_skipped, pearson, precision_hard,
+                   recall_hard, f1_hard, precision_soft, recall_soft, f1_soft, f1_delta,
+                   gamma, s_empty, gamma_config, examples)
+
+    def __repr__(self) -> str:
+        return self._repr(self._fields[:-1])
 
 
 def _mean(values: list[float]) -> float | None:
@@ -356,12 +356,14 @@ def aggregate(
     )
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(FrozenRecord):
     """Category confusion counts: rows are reference categories, columns
     candidate categories, paired by maximal character overlap."""
 
-    counts: tuple[tuple[int, ...], ...]
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: tuple[tuple[int, ...], ...]):
+        self._init(counts)
 
     def normalized(self) -> tuple[tuple[float, ...], ...]:
         """Row-normalized counts; all-zero rows stay all-zero."""
@@ -395,17 +397,18 @@ def confusion_matrix(reference: Campaign, candidate: Campaign, k: int) -> Confus
     return ConfusionMatrix(tuple(map(tuple, counts)))
 
 
-@dataclass(frozen=True)
-class CampaignStats:
+class CampaignStats(FrozenRecord):
     """Descriptive statistics for one campaign: totals, density, the
     share of examples left empty, and mean span length."""
 
-    annotations: int
-    annotations_per_example: float
-    pct_examples_empty: float
-    chars_per_annotation: float | None
-    n_examples: int
-    n_failed: int
+    __slots__ = ("annotations", "annotations_per_example", "pct_examples_empty",
+                 "chars_per_annotation", "n_examples", "n_failed")
+
+    def __init__(self, annotations: int, annotations_per_example: float,
+                 pct_examples_empty: float, chars_per_annotation: float | None,
+                 n_examples: int, n_failed: int):
+        self._init(annotations, annotations_per_example, pct_examples_empty,
+                   chars_per_annotation, n_examples, n_failed)
 
 
 def annotation_stats(campaign: Campaign) -> CampaignStats:

@@ -7,11 +7,13 @@ intervals, so the length of a span is simply ``end - start``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 TASKS = ("d2t", "mt", "propaganda", "generic")
+
+_setattr = object.__setattr__
+_EMPTY: Mapping = MappingProxyType({})
 
 
 class ModelError(ValueError):
@@ -19,39 +21,102 @@ class ModelError(ValueError):
     cannot score."""
 
 
-@dataclass(frozen=True)
-class Category:
+class Record:
+    """Base of spanagree's record types. A record's fields are the names in
+    its class's ``__slots__`` that do not start with "_", in constructor
+    order; its ``__init__`` checks the arguments and stores them with
+    ``_init``. Records compare and print by field value, and copy and
+    pickle through their constructor."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _setattr(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def asdict(self) -> dict:
+        """The fields by name; values are not copied."""
+        return dict(zip(self._fields, self._values()))
+
+    def replace(self, **changes):
+        """A new record with ``changes`` applied, checked as on construction."""
+        return type(self)(**{**self.asdict(), **changes})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return self._repr(self._fields)
+
+    def _repr(self, names: Iterable[str]) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        # Through the constructor, which a frozen record's __setattr__
+        # leaves as the only way in; read-only mappings go as dicts, since
+        # a mappingproxy does not pickle.
+        return type(self), tuple(
+            dict(v) if type(v) is MappingProxyType else v for v in self._values()
+        )
+
+
+class FrozenRecord(Record):
+    """A record whose fields cannot change after construction; hashable."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Category(FrozenRecord):
     """One annotation category: integer code, short name, guideline text."""
 
-    index: int
-    name: str
-    description: str = ""
+    __slots__ = ("index", "name", "description")
 
-    def __post_init__(self):
-        if self.index < 0:
-            raise ModelError(f"category index must be non-negative, got {self.index}")
-        if not self.name:
+    def __init__(self, index: int, name: str, description: str = ""):
+        if index < 0:
+            raise ModelError(f"category index must be non-negative, got {index}")
+        if not name:
             raise ModelError("category name must be non-empty")
+        self._init(index, name, description)
 
 
-@dataclass(frozen=True)
-class CategorySet:
+class CategorySet(FrozenRecord):
     """Dense, ordered inventory of categories with indices 0..k-1."""
 
-    categories: tuple[Category, ...]
+    __slots__ = ("categories", "_by_name")
 
-    def __post_init__(self):
-        object.__setattr__(self, "categories", tuple(self.categories))
-        for i, cat in enumerate(self.categories):
+    def __init__(self, categories: tuple[Category, ...]):
+        categories = tuple(categories)
+        for i, cat in enumerate(categories):
             if cat.index != i:
                 raise ModelError(
                     f"category indices must be dense 0..k-1; "
                     f"position {i} holds index {cat.index}"
                 )
-        names = [c.name for c in self.categories]
+        names = [c.name for c in categories]
         if len(set(names)) != len(names):
             raise ModelError("category names must be unique")
-        object.__setattr__(self, "_by_name", {c.name: c for c in self.categories})
+        self._init(categories)
+        _setattr(self, "_by_name", {c.name: c for c in categories})
 
     @property
     def k(self) -> int:
@@ -67,30 +132,24 @@ class CategorySet:
         return self.categories[index]
 
     def by_name(self, name: str) -> Category:
-        by_name: dict[str, Category] = getattr(self, "_by_name")
-        if name not in by_name:
+        if name not in self._by_name:
             raise ModelError(f"unknown category name: {name!r}")
-        return by_name[name]
+        return self._by_name[name]
 
 
-@dataclass(frozen=True)
-class SpanAnnotation:
+class SpanAnnotation(FrozenRecord):
     """One annotated span: ``[start, end)`` offsets, category index, and
     optionally the annotator's reason and the literal surface string."""
 
-    start: int
-    end: int
-    category: int
-    reason: str | None = None
-    surface: str | None = None
+    __slots__ = ("start", "end", "category", "reason", "surface")
 
-    def __post_init__(self):
-        if not (0 <= self.start < self.end):
-            raise ModelError(
-                f"span must satisfy 0 <= start < end, got [{self.start}, {self.end})"
-            )
-        if self.category < 0:
-            raise ModelError(f"category index must be non-negative, got {self.category}")
+    def __init__(self, start: int, end: int, category: int,
+                 reason: str | None = None, surface: str | None = None):
+        if not (0 <= start < end):
+            raise ModelError(f"span must satisfy 0 <= start < end, got [{start}, {end})")
+        if category < 0:
+            raise ModelError(f"category index must be non-negative, got {category}")
+        self._init(start, end, category, reason, surface)
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -100,8 +159,7 @@ class SpanAnnotation:
         return (self.start, self.end, self.category)
 
 
-@dataclass(frozen=True)
-class AnnotationSet:
+class AnnotationSet(FrozenRecord):
     """All annotations one annotator produced for one example.
 
     An empty set is meaningful: it records that the annotator looked at
@@ -109,17 +167,17 @@ class AnnotationSet:
     (start, end, category).
     """
 
-    example_id: str
-    annotations: tuple[SpanAnnotation, ...] = ()
+    __slots__ = ("example_id", "annotations")
 
-    def __post_init__(self):
-        object.__setattr__(self, "annotations", tuple(self.annotations))
-        keys = [a.sort_key for a in self.annotations]
+    def __init__(self, example_id: str, annotations: tuple[SpanAnnotation, ...] = ()):
+        annotations = tuple(annotations)
+        keys = [a.sort_key for a in annotations]
         if keys != sorted(keys):
             raise ModelError(
-                f"annotations for {self.example_id!r} must be sorted by "
+                f"annotations for {example_id!r} must be sorted by "
                 "(start, end, category); use normalize_annotation_set"
             )
+        self._init(example_id, annotations)
 
     def __len__(self) -> int:
         return len(self.annotations)
@@ -168,44 +226,38 @@ def normalize_annotation_set(
     return AnnotationSet(example_id, tuple(kept)), tuple(dropped)
 
 
-@dataclass(frozen=True)
-class Example:
+class Example(FrozenRecord):
     """One evaluable unit: the target text plus an optional source input."""
 
-    id: str
-    text: str
-    source: str | None = None
-    task: str = "generic"
-    metadata: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ("id", "text", "source", "task", "metadata")
 
-    def __post_init__(self):
-        if not self.id:
+    def __init__(self, id: str, text: str, source: str | None = None,
+                 task: str = "generic", metadata: Mapping[str, str] = _EMPTY):
+        if not id:
             raise ModelError("example id must be non-empty")
-        if not self.text:
-            raise ModelError(f"example {self.id!r} has empty text")
-        if self.task not in TASKS:
-            raise ModelError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
+        if not text:
+            raise ModelError(f"example {id!r} has empty text")
+        if task not in TASKS:
+            raise ModelError(f"unknown task {task!r}; expected one of {TASKS}")
+        self._init(id, text, source, task, MappingProxyType(dict(metadata)))
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(FrozenRecord):
     """A corpus of examples with the category inventory and guidelines
     shared by every annotator working on it."""
 
-    examples: tuple[Example, ...]
-    categories: CategorySet
-    guidelines: str = ""
-    no_overlap: bool = False
+    __slots__ = ("examples", "categories", "guidelines", "no_overlap", "_by_id")
 
-    def __post_init__(self):
-        object.__setattr__(self, "examples", tuple(self.examples))
+    def __init__(self, examples: tuple[Example, ...], categories: CategorySet,
+                 guidelines: str = "", no_overlap: bool = False):
+        examples = tuple(examples)
         by_id: dict[str, Example] = {}
-        for ex in self.examples:
+        for ex in examples:
             if ex.id in by_id:
                 raise ModelError(f"duplicate example id {ex.id!r}")
             by_id[ex.id] = ex
-        object.__setattr__(self, "_by_id", by_id)
+        self._init(examples, categories, guidelines, no_overlap)
+        _setattr(self, "_by_id", by_id)
 
     @property
     def k(self) -> int:
@@ -215,56 +267,51 @@ class Dataset:
         return len(self.examples)
 
     def __getitem__(self, example_id: str) -> Example:
-        by_id: dict[str, Example] = getattr(self, "_by_id")
-        if example_id not in by_id:
+        if example_id not in self._by_id:
             raise ModelError(f"unknown example id {example_id!r}")
-        return by_id[example_id]
+        return self._by_id[example_id]
 
     def __contains__(self, example_id: str) -> bool:
-        return example_id in getattr(self, "_by_id")
+        return example_id in self._by_id
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(FrozenRecord):
     """Raw-output record kept alongside an annotation set.
 
     ``failed`` marks an example where the annotator never produced a
     usable answer; that is different from a genuine empty set.
     """
 
-    example_id: str
-    model_id: str = ""
-    variant: str = ""
-    raw_output: str = ""
-    reasoning: str = ""
-    latency_s: float = 0.0
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-    retries: int = 0
-    failed: bool = False
+    __slots__ = ("example_id", "model_id", "variant", "raw_output", "reasoning",
+                 "latency_s", "prompt_tokens", "completion_tokens", "retries", "failed")
+
+    def __init__(self, example_id: str, model_id: str = "", variant: str = "",
+                 raw_output: str = "", reasoning: str = "", latency_s: float = 0.0,
+                 prompt_tokens: int = 0, completion_tokens: int = 0, retries: int = 0,
+                 failed: bool = False):
+        self._init(example_id, model_id, variant, raw_output, reasoning, latency_s,
+                   prompt_tokens, completion_tokens, retries, failed)
 
 
-@dataclass(frozen=True)
-class Campaign:
+class Campaign(FrozenRecord):
     """One annotator's pass over a dataset: a set per annotated example.
 
     An example absent from ``sets`` was never annotated; present with an
     empty set means the annotator found nothing there.
     """
 
-    annotator_id: str
-    sets: Mapping[str, AnnotationSet]
-    traces: Mapping[str, Trace] = field(default_factory=dict)
+    __slots__ = ("annotator_id", "sets", "traces")
 
-    def __post_init__(self):
-        for example_id, aset in self.sets.items():
+    def __init__(self, annotator_id: str, sets: Mapping[str, AnnotationSet],
+                 traces: Mapping[str, Trace] = _EMPTY):
+        for example_id, aset in sets.items():
             if aset.example_id != example_id:
                 raise ModelError(
                     f"annotation set keyed {example_id!r} claims example "
                     f"{aset.example_id!r}"
                 )
-        object.__setattr__(self, "sets", MappingProxyType(dict(self.sets)))
-        object.__setattr__(self, "traces", MappingProxyType(dict(self.traces)))
+        self._init(annotator_id, MappingProxyType(dict(sets)),
+                   MappingProxyType(dict(traces)))
 
     def example_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.sets))

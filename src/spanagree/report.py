@@ -6,7 +6,6 @@ from ``report.json``, at 3 decimals for reading."""
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 from pathlib import Path
 from typing import Any, Iterable
@@ -65,14 +64,14 @@ def report_to_dict(
         "reference": report.reference_id,
         "candidate": report.candidate_id,
         "gamma_config": {
-            **dataclasses.asdict(report.gamma_config.dissimilarity),
+            **report.gamma_config.dissimilarity.asdict(),
             "n_samples": report.gamma_config.n_samples,
             "seed": report.gamma_config.seed,
         },
         "counts": {
-            f.name.removeprefix("n_"): getattr(report, f.name)
-            for f in dataclasses.fields(report)
-            if f.name.startswith("n_")
+            name.removeprefix("n_"): getattr(report, name)
+            for name in report._fields
+            if name.startswith("n_")
         },
         "metrics": {column: getattr(report, column) for column in METRIC_COLUMNS},
         "examples": [

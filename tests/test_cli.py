@@ -8,7 +8,6 @@ import runpy
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,6 +25,9 @@ NETWORK_MODULES = ["http.client", "urllib.request", "ssl", "email.parser"]
 # What each command leaves to the other: the scorer and the annotate runtime.
 SCORER_MODULES = ["spanagree.gamma", "spanagree.metrics", "spanagree.report", "csv"]
 ANNOTATE_MODULES = ["spanagree.annotator", "spanagree.grounding"]
+# Slow to import and needed by no command: dataclasses pulls in inspect,
+# ast, dis and tokenize.
+SLOW_MODULES = ["dataclasses", "inspect"]
 
 
 @pytest.fixture
@@ -721,9 +723,9 @@ class TestCommands:
             ["annotate", "--config", str(path), "--seed", "7"]
         )
         overridden = _apply_overrides(load_run_config(path), args)
-        assert overridden.gamma == replace(config.gamma, seed=7)
-        assert overridden.annotator == replace(
-            config.annotator, decoding=replace(config.annotator.decoding, seed=7)
+        assert overridden.gamma == config.gamma.replace(seed=7)
+        assert overridden.annotator == config.annotator.replace(
+            decoding=config.annotator.decoding.replace(seed=7)
         )
 
     @staticmethod
@@ -747,14 +749,15 @@ class TestCommands:
     @pytest.mark.parametrize(
         "module",
         ["numpy", "scipy", "requests", "urllib3", *NETWORK_MODULES, "concurrent.futures",
-         *ANNOTATE_MODULES],
+         *ANNOTATE_MODULES, *SLOW_MODULES],
     )
     def test_evaluate_does_not_import(self, mock_config, module):
         path, _ = mock_config
         self.assert_run_leaves_out(module, ["evaluate", "--config", str(path), "gold", "gold"])
 
     @pytest.mark.parametrize(
-        "module", ["numpy", "scipy", "requests", *NETWORK_MODULES, *SCORER_MODULES]
+        "module",
+        ["numpy", "scipy", "requests", *NETWORK_MODULES, *SCORER_MODULES, *SLOW_MODULES],
     )
     def test_annotate_mock_does_not_import(self, mock_config, module):
         path, _ = mock_config
@@ -764,7 +767,8 @@ class TestCommands:
     def test_import_does_not_load_network_or_pool(self):
         # What every command pays before it parses its arguments.
         self.assert_leaves_out(
-            [*NETWORK_MODULES, "concurrent.futures", *SCORER_MODULES, *ANNOTATE_MODULES],
+            [*NETWORK_MODULES, "concurrent.futures", *SCORER_MODULES, *ANNOTATE_MODULES,
+             *SLOW_MODULES],
             "import spanagree.cli",
         )
 
@@ -788,6 +792,19 @@ class TestCommands:
             assert exc.value.code == 0
         stdout = capsys.readouterr().out
         assert stdout.startswith("annotator: gold\n") and "\ngold vs gold: " in stdout
+        assert (out / "report.json").exists()
+
+    def test_run_module_before_any_import(self, mock_config):
+        # Here spanagree.cli runs under its own name before any import has
+        # put it in sys.modules.
+        path, out = mock_config
+        argv = ["evaluate", "--config", str(path), "gold", "gold"]
+        code = (f"import runpy, sys\nnamespace = runpy.run_module('spanagree.cli')\n"
+                f"sys.exit(namespace['main']({argv!r}))")
+        src = Path(spanagree.__file__).parent.parent
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
         assert (out / "report.json").exists()
 
     def test_evaluate_runs_under_cprofile(self, mock_config):
