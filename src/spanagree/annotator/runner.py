@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
+import sys
 import threading
 from collections import deque
 from pathlib import Path
@@ -45,7 +45,13 @@ from ..model import (
 from .adapters import ProviderAdapter, ProviderError
 from .templates import build_annotation_schema, render_prompt
 
-logger = logging.getLogger(__name__)
+
+def _warn(message: str, *args: object) -> None:
+    """Log a warning from this module, reported at the caller's line."""
+    # Imported here, so that a run that warns of nothing does not load it.
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args, stacklevel=2)
 
 
 def cache_key(config: AnnotatorConfig, prompt: str) -> str:
@@ -112,9 +118,7 @@ class TraceCache:
         with open(self.path, "rb") as handle:
             for number, line in enumerate(handle, start=1):
                 if not line.endswith(b"\n"):
-                    logger.warning(
-                        "%s: dropping a torn final line of %d bytes", self.path, len(line)
-                    )
+                    _warn("%s: dropping a torn final line of %d bytes", self.path, len(line))
                     break
                 if not line.strip():
                     continue
@@ -188,8 +192,11 @@ def derive_annotations(
         return reasoning, None
     spans, ground_report = ground_annotations(raws, example.text)
     report.merge(ground_report)
-    if report.dropped:
-        logger.debug(
+    # A DEBUG record reaches a handler only if logging was configured, which imports it.
+    if report.dropped and "logging" in sys.modules:
+        import logging
+
+        logging.getLogger(__name__).debug(
             "example %s: %d grounded, %d dropped", example.id, report.grounded,
             report.dropped,
         )
@@ -238,7 +245,7 @@ def annotate_example(
             )
         except ProviderError as exc:
             failures += 1
-            logger.warning("transport error for %s: %s", example.id, exc)
+            _warn("transport error for %s: %s", example.id, exc)
             continue
         latency += result.latency_s
         prompt_tokens += result.prompt_tokens
@@ -306,7 +313,7 @@ def _from_record(
     raw = record["raw_output"]
     reasoning, derived = derive_annotations(raw, example, dataset, config)
     if derived is None:
-        logger.warning(
+        _warn(
             "%s: the cached reply for example %r gives no usable payload; "
             "requesting it again", path, example.id,
         )
@@ -327,26 +334,27 @@ def annotate_dataset(
 ) -> Campaign:
     """Annotate every example, reusing cached successes.
 
-    config.concurrency_limit workers, or one per example if there are
-    fewer, take the examples in id order, one at a time; the campaign is
-    assembled in example-id order, so its content is independent of
-    completion order. Transport-dead examples are flagged failed rather
-    than aborting the run. Any other error, or a Ctrl-C, stops the run
-    once the examples in flight finish.
+    config.concurrency_limit worker threads, or one per example if there
+    are fewer, take the examples in id order, one at a time, while the
+    calling thread waits for them; the campaign is assembled in
+    example-id order, so its content is independent of completion order.
+    Transport-dead examples are flagged failed rather than aborting the
+    run. Any other error, or a Ctrl-C, stops the run once the examples
+    in flight finish, and the first error raised in a worker is raised
+    here.
     """
-    # Imported here, so that importing the package does not load it; only a run uses it.
-    from concurrent.futures import ThreadPoolExecutor
-
     cache = TraceCache(cache_path) if cache_path is not None else None
     examples = sorted(dataset.examples, key=lambda e: e.id)
     queue = deque(examples)
     results: dict[str, tuple[AnnotationSet, Trace]] = {}
+    errors: list[BaseException] = []
 
     # Each worker takes the next example and finishes it, writing its
     # record, before it takes another, so a kill loses only the examples
     # in flight. With one worker the records keep example order. A worker
-    # that raises empties the queue, so the others stop after their
-    # current example.
+    # that raises records the error for the calling thread, so that it
+    # never reaches threading.excepthook, and empties the queue, so the
+    # others stop after their current example.
     def work() -> None:
         try:
             while True:
@@ -370,23 +378,28 @@ def annotate_dataset(
                     record = trace_record(trace, aset)
                     cache.put(key, {field: record[field] for field in _CACHE_FIELDS})
                 results[example.id] = aset, trace
-        except BaseException:
+        except BaseException as exc:
+            errors.append(exc)
             queue.clear()
-            raise
 
     n_workers = max(1, min(config.concurrency_limit, len(examples)))
+    workers = [threading.Thread(target=work) for _ in range(n_workers)]
     try:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            try:
-                workers = [pool.submit(work) for _ in range(n_workers)]
-                for worker in workers:
-                    worker.result()
-            finally:
-                # After an error or a Ctrl-C here, only the examples in flight finish.
-                queue.clear()
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
     finally:
+        # After a Ctrl-C here, only the examples in flight finish. It can
+        # come before every worker has started, and join() refuses those.
+        queue.clear()
+        for worker in workers:
+            if worker.is_alive():
+                worker.join()
         if cache is not None:
             cache.close()
+    if errors:
+        raise errors[0]
 
     sets = {e.id: results[e.id][0] for e in examples}
     traces = {e.id: results[e.id][1] for e in examples}

@@ -11,7 +11,6 @@ unbounded below.
 from __future__ import annotations
 
 import hashlib
-import logging
 import random
 from array import array
 from typing import Iterable, Iterator, Sequence
@@ -20,8 +19,6 @@ from ..config import DissimilarityConfig, GammaConfig
 from ..model import FrozenRecord, ModelError, SpanAnnotation
 from .dissimilarity import Unit, pair_cost_matrix, pair_costs
 from .solver import solve_assignment
-
-logger = logging.getLogger(__name__)
 
 # Candidate-acceptance slack when reconstructing the optimal alignment
 # structure; ties in practice are exact, this only absorbs fp noise.
@@ -433,7 +430,10 @@ def gamma_score(
         return 1.0
     exp = expected_disorder(a, b, text_length, cfg, example_id)
     if exp <= 0.0:
-        logger.warning(
+        # Imported here, so that a run that warns of nothing does not load it.
+        import logging
+
+        logging.getLogger(__name__).warning(
             "zero expected disorder for example %r; skipping gamma", example_id
         )
         return None

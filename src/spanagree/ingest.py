@@ -10,7 +10,6 @@ statistics.
 from __future__ import annotations
 
 import json
-from importlib import resources
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -187,6 +186,9 @@ def bundled_category_file(task: str) -> CategoryFile:
     or propaganda (18)."""
     if task not in BUNDLED_TASKS:
         raise IngestError(f"no bundled categories for task {task!r}")
+    # Imported here: it loads tempfile, and only the bundled inventories need it.
+    from importlib import resources
+
     with resources.as_file(resources.files("spanagree.data") / f"{task}.json") as path:
         return load_category_file(path)
 

@@ -534,6 +534,24 @@ class TestAnnotateDataset:
         # the failing request and at most one in flight on the other worker
         assert adapter.requests <= 4
 
+    def test_worker_error_is_raised_by_the_run_not_the_thread(self, tmp_path, monkeypatch):
+        dataset = make_dataset({f"e{i}": "the cat sat" for i in range(6)})
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+
+        class FailsOneExample(MockAdapter):
+            def complete(self, prompt, decoding, schema=None, request_id=""):
+                if request_id == "e2":
+                    raise ValueError("bad request e2")
+                return super().complete(prompt, decoding, schema, request_id)
+
+        adapter = FailsOneExample({e.id: [reply([])] for e in dataset.examples})
+        with pytest.raises(ValueError, match="bad request e2"):
+            annotate_dataset(
+                dataset, config(concurrency_limit=2), adapter, tmp_path / "cache.jsonl"
+            )
+        assert hooked == []
+
     @pytest.mark.parametrize("concurrency", [1, 2])
     def test_ctrl_c_stops_after_requests_in_flight(self, concurrency, tmp_path):
         script = f"""

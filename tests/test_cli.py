@@ -729,27 +729,27 @@ class TestCommands:
         )
 
     @staticmethod
-    def assert_leaves_out(modules, code):
-        """``code`` runs in a fresh interpreter without importing any of
-        ``modules``."""
+    def assert_leaves_out(modules, code, flags=()):
+        """``code`` runs in a fresh interpreter, started with ``flags``,
+        without importing any of ``modules``."""
         src = Path(spanagree.__file__).parent.parent
         script = f"import sys\n{code}\nassert not set({modules!r}) & set(sys.modules)\n"
         env = {**os.environ, "PYTHONPATH": str(src)}
-        subprocess.run([sys.executable, "-c", script], env=env, check=True,
+        subprocess.run([sys.executable, *flags, "-c", script], env=env, check=True,
                        capture_output=True)
 
     @classmethod
-    def assert_run_leaves_out(cls, module, argv):
+    def assert_run_leaves_out(cls, module, argv, flags=()):
         """``main(argv)`` in a fresh interpreter exits 0 without importing
         ``module``."""
         cls.assert_leaves_out(
-            [module], f"from spanagree.cli import main\nassert main({argv!r}) == 0"
+            [module], f"from spanagree.cli import main\nassert main({argv!r}) == 0", flags
         )
 
     @pytest.mark.parametrize(
         "module",
         ["numpy", "scipy", "requests", "urllib3", *NETWORK_MODULES, "concurrent.futures",
-         *ANNOTATE_MODULES, *SLOW_MODULES],
+         *ANNOTATE_MODULES, *SLOW_MODULES, "logging"],
     )
     def test_evaluate_does_not_import(self, mock_config, module):
         path, _ = mock_config
@@ -757,20 +757,49 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "module",
-        ["numpy", "scipy", "requests", *NETWORK_MODULES, *SCORER_MODULES, *SLOW_MODULES],
+        ["numpy", "scipy", "requests", *NETWORK_MODULES, *SCORER_MODULES, *SLOW_MODULES,
+         "logging", "concurrent.futures"],
     )
     def test_annotate_mock_does_not_import(self, mock_config, module):
         path, _ = mock_config
         replies = str(FIXTURES / "replies10.jsonl")
         self.assert_run_leaves_out(module, ["annotate", "--config", str(path), "--mock", replies])
 
+    def test_commands_do_not_import_resources(self, mock_config):
+        # Without site (-S), which may import importlib.resources through a .pth file.
+        path, _ = mock_config
+        replies = str(FIXTURES / "replies10.jsonl")
+        for argv in (["evaluate", "--config", str(path), "gold", "gold"],
+                     ["annotate", "--config", str(path), "--mock", replies]):
+            self.assert_run_leaves_out("importlib.resources", argv, flags=["-S"])
+
     def test_import_does_not_load_network_or_pool(self):
         # What every command pays before it parses its arguments.
         self.assert_leaves_out(
             [*NETWORK_MODULES, "concurrent.futures", *SCORER_MODULES, *ANNOTATE_MODULES,
-             *SLOW_MODULES],
+             *SLOW_MODULES, "logging"],
             "import spanagree.cli",
         )
+
+    def test_warning_reaches_stderr_without_logging_set_up(self, mock_config):
+        # pytest sets up logging in this process, so the warning is checked
+        # in a fresh interpreter, where only logging's last-resort handler
+        # can print it.
+        path, _ = mock_config
+        replies = str(FIXTURES / "replies10.jsonl")
+        argv = ["annotate", "--config", str(path), "--mock", replies]
+        assert main(argv) == 0
+        cache = path.parent / "cache.jsonl"
+        torn = b'{"key": "0'
+        with open(cache, "ab") as handle:
+            handle.write(torn)
+        src = Path(spanagree.__file__).parent.parent
+        result = subprocess.run([sys.executable, "-m", "spanagree.cli", *argv],
+                                env={**os.environ, "PYTHONPATH": str(src)},
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        line = f"{cache}: dropping a torn final line of {len(torn)} bytes"
+        assert line in result.stderr.splitlines()
 
     def test_deferred_names_resolve_on_first_use(self):
         for module, names in cli._DEFERRED.items():
