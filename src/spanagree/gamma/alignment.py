@@ -67,17 +67,21 @@ def _match(
     the only pairs that can beat leaving both units unaligned. Without
     one every unit pays the penalty; a single one is matched. Otherwise
     the optimum splits into the connected components of the useful
-    pairs: an isolated unit stays unaligned, a 1x1 component is matched
-    directly and only larger components are solved. A component of r
-    rows and c columns is solved as a square matrix of side max(r, c)
-    whose useful pairs hold half their saving, ``0.5 * cost - penalty``,
-    and whose other entries are 0 ("no pair"); halving keeps the entries
-    finite where ``2 * penalty`` overflows. Among cost ties the matching
-    may differ from a solve of the whole matrix. The total adds, in row
-    order, each left unit's pair cost or penalty, then one penalty per
-    unmatched right unit. The order within a row changes nothing:
-    components are visited in order of their first node and list their
-    nodes in index order, and totals are summed in row order.
+    pairs, built while reading them: an isolated unit stays unaligned
+    and is never visited, and a 1x1 component is matched directly.
+    Larger components are matched on their halved savings,
+    ``0.5 * cost - penalty``; halving keeps them finite where
+    ``2 * penalty`` overflows. A 3-unit component (1x2 or 2x1) takes its
+    pair of smaller halved saving, as the solver's closed 2x2 form does.
+    A component of r rows and c columns, 4 units or more, is solved as a
+    square matrix of side max(r, c) whose useful pairs hold their halved
+    saving and whose other entries are 0 ("no pair"). Among cost ties
+    the matching may differ from a solve of the whole matrix. The total
+    adds, in row order, each left unit's pair cost or penalty, then one
+    penalty per unmatched right unit. The order of ``useful`` within a
+    row changes nothing: a 3-unit component breaks ties by index, a
+    larger one lists its nodes in index order, and totals are summed in
+    row order.
     """
     total = 0.0
     if not useful:
@@ -92,53 +96,82 @@ def _match(
             total += penalty
         return total, {i0: j0}
 
-    # Union-find over left units 0..n-1 and right units n..n+m-1.
-    root = list(range(n + m))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
+    # Left unit i is node i and right unit j is node n + j. Each node
+    # maps to the node list of its component; a pair that links two
+    # components moves the smaller list into the larger and empties it.
     rows_of: dict[int, dict[int, float]] = {}
+    component_of: dict[int, list[int]] = {}
+    components: list[list[int]] = []
     for i, j, cost in useful:
         rows_of.setdefault(i, {})[j] = cost
-        root[find(i)] = find(n + j)
-    components: dict[int, list[int]] = {}
-    for x in range(n + m):
-        components.setdefault(find(x), []).append(x)
+        j += n
+        left = component_of.get(i)
+        right = component_of.get(j)
+        if left is right:
+            if left is None:
+                component_of[i] = component_of[j] = nodes = [i, j]
+                components.append(nodes)
+        elif left is None:
+            right.append(i)
+            component_of[i] = right
+        elif right is None:
+            left.append(j)
+            component_of[j] = left
+        else:
+            if len(left) < len(right):
+                left, right = right, left
+            left.extend(right)
+            for x in right:
+                component_of[x] = left
+            right.clear()
 
     match: dict[int, int] = {}
-    for nodes in components.values():
-        if len(nodes) == 1:
-            continue
-        rows = [x for x in nodes if x < n]
-        cols = [x - n for x in nodes if x >= n]
+    for nodes in components:
         if len(nodes) == 2:
-            match[rows[0]] = cols[0]
-            continue
-        size = max(len(rows), len(cols))
-        flat = array("d")
-        for i in rows:
-            row = rows_of[i]
-            flat.extend([0.5 * row[j] - penalty if j in row else 0.0 for j in cols])
-            flat.extend([0.0] * (size - len(cols)))
-        flat.extend([0.0] * (size * (size - len(rows))))
-        # A 2-D buffer rather than lists: perfbench's traced run reads the
-        # solved cells from ``cost.shape``.
-        solution, _ = solve_assignment(memoryview(flat).cast("B").cast("d", (size, size)))
-        for k, i in enumerate(rows):
-            c = solution[k]
-            if c < len(cols) and cols[c] in rows_of[i]:
-                match[i] = cols[c]
+            match[nodes[0]] = nodes[1] - n
+        elif len(nodes) == 3:
+            # A component starts as [i, n + j] and a third node joins it
+            # alone. The solver would get [[h1, h2], [0, 0]] or
+            # [[h1, 0], [h2, 0]], rows and columns in index order, and its
+            # closed 2x2 form matches the first pair unless h2 < h1. The
+            # halved savings are compared, not the costs: they can tie
+            # where the costs differ (with penalty 1.0, costs 2e-17 and
+            # 1e-17 both give -1.0, and the first pair is matched).
+            i, y, x = nodes
+            if x < n:
+                # left units i < x (rows come in order), one right unit
+                j = y - n
+                h1 = 0.5 * rows_of[i][j] - penalty
+                match[x if 0.5 * rows_of[x][j] - penalty < h1 else i] = j
+            else:
+                # left unit i, two right units
+                row = rows_of[i]
+                first, second = min(y, x) - n, max(y, x) - n
+                h1 = 0.5 * row[first] - penalty
+                match[i] = second if 0.5 * row[second] - penalty < h1 else first
+        elif nodes:
+            nodes.sort()
+            rows = [x for x in nodes if x < n]
+            cols = [x - n for x in nodes if x >= n]
+            size = max(len(rows), len(cols))
+            flat = array("d")
+            for i in rows:
+                row = rows_of[i]
+                flat.extend([0.5 * row[j] - penalty if j in row else 0.0 for j in cols])
+                flat.extend([0.0] * (size - len(cols)))
+            flat.extend([0.0] * (size * (size - len(rows))))
+            # A 2-D buffer rather than lists: perfbench's traced run reads the
+            # solved cells from ``cost.shape``.
+            solution, _ = solve_assignment(memoryview(flat).cast("B").cast("d", (size, size)))
+            for k, i in enumerate(rows):
+                c = solution[k]
+                if c < len(cols) and cols[c] in rows_of[i]:
+                    match[i] = cols[c]
 
     for i in range(n):
         total += rows_of[i][match[i]] if i in match else penalty
-    matched = set(match.values())
-    for j in range(m):
-        if j not in matched:
-            total += penalty
+    for _ in range(m - len(match)):
+        total += penalty
     return total, match
 
 

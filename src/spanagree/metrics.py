@@ -367,7 +367,11 @@ class ConfusionMatrix(FrozenRecord):
 
     def normalized(self) -> tuple[tuple[float, ...], ...]:
         """Row-normalized counts; all-zero rows stay all-zero."""
-        return tuple(tuple(c / sum(row) if c else 0.0 for c in row) for row in self.counts)
+        rows = []
+        for row in self.counts:
+            total = sum(row)
+            rows.append(tuple(c / total if c else 0.0 for c in row))
+        return tuple(rows)
 
 
 def confusion_matrix(reference: Campaign, candidate: Campaign, k: int) -> ConfusionMatrix:

@@ -345,9 +345,13 @@ class TestComponentMatching:
         penalty = CFG.delta_empty
         assert seen[0].tolist() == [[0.5 * pair[i][j] - penalty for j in (1, 2)] for i in (0, 1)]
 
-        # a 1x2 component whose 2 * delta_empty overflows to inf
+        # under a delta_empty whose double overflows to inf, a 1x2
+        # component is settled without the solver and a 2x2 one is solved
         cfg = DissimilarityConfig(delta_empty=1e308)
         assert self.match([S(0, 10, 0)], [S(0, 10, 0), S(1, 11, 0)], cfg) == (1e308, {0: 0})
+        assert len(seen) == 1
+        both = [S(0, 10, 0), S(2, 12, 0)]
+        assert self.match(both, list(both), cfg) == (0.0, {0: 0, 1: 1})
         assert len(seen) == 2
 
         rng = random.Random(43)

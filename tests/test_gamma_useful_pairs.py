@@ -6,7 +6,7 @@ cost less than 2 * delta_empty. Above 64 pairs per call they are found
 in a window of sorted starts, which the first test checks against the
 all-pairs filter. With none every unit pays the penalty,
 a single one is matched directly, and otherwise the pairs are split into
-connected components, of which only those with 3 or more units reach
+connected components, of which only those with 4 or more units reach
 the solver. Each test records which of these branches its alignments
 took, so that a test whose inputs stop forcing its branch fails instead
 of passing vacuously. Where two optimal matchings tie, the two agree
@@ -170,12 +170,13 @@ def test_two_unit_components_skip_the_solver(monkeypatch):
     assert got is not None and got > 0.5
 
 
-def test_three_unit_component_reaches_the_solver(monkeypatch):
+def test_three_unit_component_skips_the_solver(monkeypatch):
     # Two left units overlap the one right unit: a 2x1 component.
     left, right = [S(0, 10, 0), S(2, 12, 0)], [S(1, 11, 0)]
     _, seen = traced_gamma(monkeypatch, left, right, 30, GammaConfig(n_samples=10, seed=3))
-    assert seen[0] == (2, 1)
-    assert any(solves for _, solves in seen[1:])
+    assert seen[0] == (2, 0)
+    assert (2, 0) in seen[1:]
+    assert not any(solves for _, solves in seen)
 
 
 def test_overflowing_delta_empty(monkeypatch):
@@ -192,10 +193,14 @@ def test_overflowing_delta_empty(monkeypatch):
         assert matrix == ref_pair_cost_matrix(left, right, dissimilarity).tolist()
         assert matrix[1] == [math.inf, math.inf]
 
-        # a solved 2x1 component
+        # a 2x1 component, settled without the solver, and a solved 2x2 one
         cfg = GammaConfig(dissimilarity, n_samples=2)
         got, seen = traced_gamma(monkeypatch, [S(0, 10, 0), S(2, 12, 0)], [S(1, 11, 0)], 20, cfg)
-        assert seen[0] == (2, 1)
+        assert seen[0] == (2, 0)
+        assert math.isfinite(got)
+        both = [S(0, 10, 0), S(2, 12, 0)]
+        got, seen = traced_gamma(monkeypatch, both, [S(1, 11, 0), S(3, 13, 0)], 20, cfg)
+        assert seen[0] == (4, 1)
         assert math.isfinite(got)
 
         # 10 x 10 units, above the window's gate: an infinite limit keeps

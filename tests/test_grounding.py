@@ -345,6 +345,15 @@ class TestGroundAnnotations:
         assert [(s.start, s.end) for s in spans] == [(0, 7)]
         assert report.case_fallbacks == 1
 
+    def test_case_fold_that_changes_length_drops_the_span(self):
+        # 'İ'.lower() is two characters, so the lowered text's offsets
+        # are one ahead of the text's: offset 14 would cover 'AD grammar'.
+        text = "İstanbul has BAD grammar"
+        assert len(text.lower()) == len(text) + 1
+        spans, report = ground_annotations([raw("bad grammar")], text)
+        assert spans == []
+        assert report.dropped_unmatched == 1 and report.case_fallbacks == 0
+
     def test_exact_match_preferred_over_case_fold(self):
         spans, report = ground_annotations([raw("Cat")], "cat and Cat")
         assert spans[0].start == 8

@@ -123,6 +123,15 @@ class TestLoadCategoryFile:
         with pytest.raises(IngestError):
             load_category_file(path)
 
+    def test_accepts_exactly_256_categories(self, tmp_path):
+        # 257 exits 2: tests/test_cli.py, evaluate-categories.json-257
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "task": "generic", "no_overlap": False, "guidelines": "",
+            "categories": [{"index": i, "name": f"c{i}"} for i in range(256)],
+        }))
+        assert len(load_category_file(path).categories) == 256
+
 
 class TestLoadDataset:
     def test_valid_two_line_corpus(self, tmp_path):
