@@ -33,7 +33,7 @@ from ..grounding import (
     parse_annotation_payload,
     split_reasoning,
 )
-from ..ingest import IngestError, annotation_to_dict, check_object, decode_json
+from ..ingest import IngestError, annotation_to_dict, check_object, decode_json, encode_json
 from ..model import (
     AnnotationSet,
     Campaign,
@@ -43,7 +43,7 @@ from ..model import (
     normalize_annotation_set,
 )
 from .adapters import ProviderAdapter, ProviderError
-from .templates import build_annotation_schema, render_prompt
+from .templates import build_annotation_schema, prompt_head, render_prompt
 
 
 def _warn(message: str, *args: object) -> None:
@@ -54,18 +54,40 @@ def _warn(message: str, *args: object) -> None:
     logging.getLogger(__name__).warning(message, *args, stacklevel=2)
 
 
-def cache_key(config: AnnotatorConfig, prompt: str) -> str:
-    material = "\x1f".join(
+def _key_fields(config: AnnotatorConfig) -> str:
+    """What a cache key hashes before the prompt: the config fields, each
+    followed by a unit separator."""
+    return "\x1f".join(
         [
             config.model_id,
             config.variant.value,
             config.schema_mode.value,
             repr(config.decoding.temperature),
             repr(config.decoding.seed),
-            prompt,
+            "",
         ]
     )
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+
+def cache_key(config: AnnotatorConfig, prompt: str) -> str:
+    return hashlib.sha256((_key_fields(config) + prompt).encode("utf-8")).hexdigest()
+
+
+def _run_keyer(config: AnnotatorConfig, head: str):
+    """``cache_key`` for one run's prompts. The config fields and ``head``
+    are hashed once; each prompt that starts with ``head`` adds only its
+    rest to a copy of that state, and any other prompt is keyed whole."""
+    prefix = hashlib.sha256((_key_fields(config) + head).encode("utf-8"))
+    cut = len(head)
+
+    def key(prompt: str) -> str:
+        if not prompt.startswith(head):
+            return cache_key(config, prompt)
+        state = prefix.copy()
+        state.update(prompt[cut:].encode("utf-8"))
+        return state.hexdigest()
+
+    return key
 
 
 def trace_record(trace: Trace, aset: AnnotationSet) -> dict:
@@ -133,7 +155,7 @@ class TraceCache:
                     ) from exc
         if number != len(self._records):
             tmp = self.path.with_name(self.path.name + ".tmp")
-            lines = [json.dumps(r, ensure_ascii=False) + "\n" for r in self._records.values()]
+            lines = [encode_json(r) + "\n" for r in self._records.values()]
             tmp.write_text("".join(lines), encoding="utf-8", newline="\n")
             os.replace(tmp, self.path)
 
@@ -148,7 +170,7 @@ class TraceCache:
     def put(self, key: str, record: dict) -> None:
         """Append one record and flush it to the file, which the first
         put opens; ``close`` closes it."""
-        line = json.dumps({"key": key, **record}, ensure_ascii=False) + "\n"
+        line = encode_json({"key": key, **record}) + "\n"
         with self._lock:
             if self._handle is None:
                 self._handle = open(self.path, "a", encoding="utf-8", newline="\n")
@@ -276,10 +298,23 @@ def annotate_example(
     return aset, trace
 
 
-# A cache record holds its key, what a hit reads and the example id that a
-# CacheError names; every hit derives the spans from raw_output again. Older
-# records are whole trace_records, so their other keys stay optional.
-_CACHE_FIELDS = ("example_id", "raw_output", "latency_s", "usage", "retries")
+def _cache_record(trace: Trace) -> dict:
+    """A cache record, without its key: what a hit reads and the example id
+    that a CacheError names. Every hit derives the spans from raw_output
+    again. Older records are whole trace_records, so their other keys stay
+    optional."""
+    return {
+        "example_id": trace.example_id,
+        "raw_output": trace.raw_output,
+        "latency_s": trace.latency_s,
+        "usage": {
+            "prompt_tokens": trace.prompt_tokens,
+            "completion_tokens": trace.completion_tokens,
+        },
+        "retries": trace.retries,
+    }
+
+
 _RECORD_KEYS = {"raw_output": str}
 _RECORD_OPTIONAL_KEYS = {
     **dict.fromkeys(("key", "example_id", "model_id", "variant", "reasoning"), str),
@@ -345,6 +380,15 @@ def annotate_dataset(
     """
     cache = TraceCache(cache_path) if cache_path is not None else None
     examples = sorted(dataset.examples, key=lambda e: e.id)
+    # What every example shares is built once here. An example of another
+    # task than the first one's is keyed from its whole prompt.
+    head = ""
+    if examples:
+        head = prompt_head(
+            examples[0].task, dataset.categories, dataset.guidelines, config.variant,
+            config.fewshot_examples,
+        )[0]
+    keyer = _run_keyer(config, head)
     queue = deque(examples)
     results: dict[str, tuple[AnnotationSet, Trace]] = {}
     errors: list[BaseException] = []
@@ -366,7 +410,7 @@ def annotate_dataset(
                     example, dataset.categories, dataset.guidelines, config.variant,
                     config.fewshot_examples,
                 )
-                key = cache_key(config, prompt)
+                key = keyer(prompt)
                 cached = cache.get(key) if cache is not None else None
                 if cached is not None:
                     hit = _from_record(example, cached, dataset, config, cache.path)
@@ -375,8 +419,7 @@ def annotate_dataset(
                         continue
                 aset, trace = annotate_example(example, dataset, config, adapter, prompt)
                 if cache is not None and not trace.failed:
-                    record = trace_record(trace, aset)
-                    cache.put(key, {field: record[field] for field in _CACHE_FIELDS})
+                    cache.put(key, _cache_record(trace))
                 results[example.id] = aset, trace
         except BaseException as exc:
             errors.append(exc)

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import sys
 from pathlib import Path
 
 # TemplateError is not used here, but spanagree.cli has always handed it out.
 from .config import ConfigError, ProviderSettings, RunConfig, TemplateError, load_run_config
-from .ingest import export_campaign, load_campaign, load_dataset
+from .ingest import encode_json, export_campaign, load_campaign, load_dataset
 from .model import Campaign, Dataset
 
 EXIT_OK = 0
@@ -105,7 +104,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             record = _cli.trace_record(
                 campaign.traces[example_id], campaign.sets[example_id]
             )
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            handle.write(encode_json(record) + "\n")
 
     failed = sorted(campaign.failed_ids())
     latencies = [t.latency_s for t in campaign.traces.values()]

@@ -108,6 +108,11 @@ class _Unplaced(json.JSONDecodeError):
         return self.msg
 
 
+# ``json.dumps(value, ensure_ascii=False)``, without building an encoder
+# for each call: every JSON Lines writer encodes its records with it.
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def decode_json(data: str | bytes) -> Any:
     """``json.loads``, except that two more inputs raise JSONDecodeError,
     like any other invalid JSON: input nested too deeply for the decoder
@@ -321,7 +326,7 @@ def export_campaign(campaign: Campaign, path: str | Path) -> None:
             }
             if example_id in failed:
                 record["failed"] = True
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            handle.write(encode_json(record) + "\n")
 
 
 def _check_span(ann: SpanAnnotation, example: Example, k: int) -> SpanAnnotation:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from spanagree.annotator import AnnotatorConfig, MockAdapter, annotate_example
 from spanagree.grounding import (
     GroundingError,
+    GroundingReport,
     RawAnnotation,
     extract_last_json_object,
     ground_annotations,
@@ -313,6 +314,20 @@ class TestParsePayload:
 
 def raw(text, category=0, reason=""):
     return RawAnnotation(reason, text, category)
+
+
+class TestGroundingReport:
+    def test_merge_adds_every_counter(self):
+        report = GroundingReport(1, 2, 3, 4, 5)
+        report.merge(GroundingReport(10, 20, 30, 40, 50))
+        assert report == GroundingReport(11, 22, 33, 44, 55)
+        assert report.dropped == 22 + 33 + 44
+
+    def test_merge_leaves_the_other_report_alone(self):
+        report, other = GroundingReport(), GroundingReport(1, 1, 1, 1, 1)
+        report.merge(other)
+        report.merge(other)
+        assert (report, other) == (GroundingReport(2, 2, 2, 2, 2), GroundingReport(1, 1, 1, 1, 1))
 
 
 class TestGroundAnnotations:
