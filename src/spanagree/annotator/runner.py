@@ -43,7 +43,7 @@ from ..model import (
     normalize_annotation_set,
 )
 from .adapters import ProviderAdapter, ProviderError
-from .templates import build_annotation_schema, prompt_head, render_prompt
+from .templates import build_annotation_schema, prompt_body, prompt_head, render_prompt
 
 
 def _warn(message: str, *args: object) -> None:
@@ -71,23 +71,6 @@ def _key_fields(config: AnnotatorConfig) -> str:
 
 def cache_key(config: AnnotatorConfig, prompt: str) -> str:
     return hashlib.sha256((_key_fields(config) + prompt).encode("utf-8")).hexdigest()
-
-
-def _run_keyer(config: AnnotatorConfig, head: str):
-    """``cache_key`` for one run's prompts. The config fields and ``head``
-    are hashed once; each prompt that starts with ``head`` adds only its
-    rest to a copy of that state, and any other prompt is keyed whole."""
-    prefix = hashlib.sha256((_key_fields(config) + head).encode("utf-8"))
-    cut = len(head)
-
-    def key(prompt: str) -> str:
-        if not prompt.startswith(head):
-            return cache_key(config, prompt)
-        state = prefix.copy()
-        state.update(prompt[cut:].encode("utf-8"))
-        return state.hexdigest()
-
-    return key
 
 
 def trace_record(trace: Trace, aset: AnnotationSet) -> dict:
@@ -380,15 +363,10 @@ def annotate_dataset(
     """
     cache = TraceCache(cache_path) if cache_path is not None else None
     examples = sorted(dataset.examples, key=lambda e: e.id)
-    # What every example shares is built once here. An example of another
-    # task than the first one's is keyed from its whole prompt.
-    head = ""
-    if examples:
-        head = prompt_head(
-            examples[0].task, dataset.categories, dataset.guidelines, config.variant,
-            config.fewshot_examples,
-        )[0]
-    keyer = _run_keyer(config, head)
+    # What the prompts of one task share, built the first time a worker
+    # meets the task: its head, its tail, and the hash state of the config
+    # fields and the head, which each key copies and feeds the rest.
+    shared: dict[str, tuple] = {}
     queue = deque(examples)
     results: dict[str, tuple[AnnotationSet, Trace]] = {}
     errors: list[BaseException] = []
@@ -406,11 +384,20 @@ def annotate_dataset(
                     example = queue.popleft()
                 except IndexError:
                     return
-                prompt = render_prompt(
-                    example, dataset.categories, dataset.guidelines, config.variant,
-                    config.fewshot_examples,
-                )
-                key = keyer(prompt)
+                parts = shared.get(example.task)
+                if parts is None:
+                    head, tail = prompt_head(
+                        example.task, dataset.categories, dataset.guidelines,
+                        config.variant, config.fewshot_examples,
+                    )
+                    state = hashlib.sha256((_key_fields(config) + head).encode("utf-8"))
+                    parts = shared.setdefault(example.task, (head, tail, state))
+                head, tail, state = parts
+                rest = prompt_body(example) + tail
+                prompt = head + rest
+                state = state.copy()
+                state.update(rest.encode("utf-8"))
+                key = state.hexdigest()
                 cached = cache.get(key) if cache is not None else None
                 if cached is not None:
                     hit = _from_record(example, cached, dataset, config, cache.path)

@@ -94,12 +94,6 @@ def format_categories(categories: CategorySet) -> str:
     )
 
 
-# The arguments of the last prompt_head call, then its head and tail. Each
-# call stores a new tuple whole, so a worker thread never pairs one call's
-# arguments with another's text.
-_last_head: tuple = (None, "", "")
-
-
 def prompt_head(
     task: str,
     categories: CategorySet,
@@ -110,35 +104,17 @@ def prompt_head(
     """The text every prompt of one task and run shares, as (head, tail).
 
     The head is the intro, the output instructions, the category list and
-    the guideline block, each followed by a blank line; the input blocks
-    come after it. The tail is a blank line and the cot or fiveshot
-    addendum, or empty. While the arguments stay the same objects, or
-    equal ones, the last result is returned again. It is stored with the
-    arguments of every call, so the next call with the same objects
-    compares them by identity alone.
+    the guideline block, each followed by a blank line; ``prompt_body``
+    comes after it. The tail is a blank line and the cot or fiveshot
+    addendum, or empty.
     """
-    global _last_head
-    key = (task, categories, guidelines, variant, tuple(fewshot_examples))
-    last_key, head, tail = _last_head
-    if key != last_key:
-        head, tail = _head_and_tail(*key)
-    _last_head = key, head, tail
-    return head, tail
-
-
-def _head_and_tail(
-    task: str,
-    categories: CategorySet,
-    guidelines: str,
-    variant: PromptVariant,
-    shots: tuple[FewshotExample, ...],
-) -> tuple[str, str]:
     if variant is PromptVariant.FIVESHOT:
-        if len(shots) != _FIVESHOT_COUNT:
+        if len(fewshot_examples) != _FIVESHOT_COUNT:
             raise TemplateError(
-                f"fiveshot needs exactly {_FIVESHOT_COUNT} examples, got {len(shots)}"
+                f"fiveshot needs exactly {_FIVESHOT_COUNT} examples, "
+                f"got {len(fewshot_examples)}"
             )
-    elif shots:
+    elif fewshot_examples:
         raise TemplateError(f"variant {variant.value} takes no few-shot examples")
 
     parts = [
@@ -153,10 +129,25 @@ def _head_and_tail(
     if variant is PromptVariant.COT:
         tail = "\n\n" + _COT_ADDENDUM
     elif variant is PromptVariant.FIVESHOT:
-        tail = "\n\n" + _fewshot_block(task, shots)
+        tail = "\n\n" + _fewshot_block(task, fewshot_examples)
     else:
         tail = ""
     return head, tail
+
+
+def prompt_body(example: Example) -> str:
+    """What one example adds between its task's head and tail: the input
+    block, if the task has one, and the fenced text block."""
+    label = _INPUT_LABELS.get(example.task)
+    blocks = ""
+    if label is not None:
+        if not example.source:
+            raise TemplateError(
+                f"example {example.id!r} has no source but the {example.task} "
+                "prompt requires one"
+            )
+        blocks = "Given the " + label + ":\n```\n" + example.source + "\n```\n"
+    return blocks + _TEXT_HEADINGS[example.task] + "\n```\n" + example.text + "\n```"
 
 
 def render_prompt(
@@ -170,23 +161,11 @@ def render_prompt(
 
     The guideline block is left out when the guidelines are blank or the
     variant is noguide. Texts, sources and guidelines are copied as they
-    are, so placeholder-like strings inside them stay literal. The parts
-    around the input blocks come from ``prompt_head``.
+    are, so placeholder-like strings inside them stay literal. It is
+    ``prompt_head``'s head, then ``prompt_body``, then the head's tail.
     """
     head, tail = prompt_head(example.task, categories, guidelines, variant, fewshot_examples)
-    label = _INPUT_LABELS.get(example.task)
-    blocks = ""
-    if label is not None:
-        if not example.source:
-            raise TemplateError(
-                f"example {example.id!r} has no source but the {example.task} "
-                "prompt requires one"
-            )
-        blocks = "Given the " + label + ":\n```\n" + example.source + "\n```\n"
-    return (
-        head + blocks + _TEXT_HEADINGS[example.task] + "\n```\n" + example.text
-        + "\n```" + tail
-    )
+    return head + prompt_body(example) + tail
 
 
 def build_annotation_schema(include_reason: bool = True) -> dict:

@@ -407,13 +407,13 @@ class TestAnnotateDataset:
 
     def test_each_prompt_rendered_once(self, dataset, tmp_path, monkeypatch):
         calls = []
-        original = runner.render_prompt
+        original = runner.prompt_body
 
         def counting(*args, **kwargs):
             calls.append(args[0].id)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(runner, "render_prompt", counting)
+        monkeypatch.setattr(runner, "prompt_body", counting)
         annotate_dataset(dataset, config(), self.full_mock(), tmp_path / "cache.jsonl")
         assert sorted(calls) == ["a", "b", "c"]
 
@@ -715,6 +715,10 @@ class TestMockAdapter:
         mock = MockAdapter.from_jsonl(path)
         assert mock.complete("p", DecodingParams(), request_id="a").text == "first"
         assert mock.complete("p", DecodingParams(), request_id="b").text == "second"
+
+    def test_empty_reply_list_rejected(self):
+        with pytest.raises(ValueError, match=r"^no replies for request id 'a'$"):
+            MockAdapter({"a": []})
 
 
 class TestDecodingParams:

@@ -447,6 +447,11 @@ class TestExpectedDisorder:
             scaled = expected_disorder(left, right, 50, scaled_cfg, "x")
             assert scaled == pytest.approx(t * base, rel=1e-12)
 
+    @pytest.mark.parametrize("text_length", [0, -3])
+    def test_non_positive_text_length_raises(self, text_length):
+        with pytest.raises(ModelError, match=r"^text_length must be positive$"):
+            expected_disorder([S(0, 1, 0)], [S(0, 1, 0)], text_length, GammaConfig())
+
     def test_span_longer_than_text_raises(self):
         with pytest.raises(ModelError, match="span of length 30 cannot fit in text of length 20"):
             expected_disorder([S(0, 30, 0)], [S(0, 5, 0)], 20, GammaConfig())

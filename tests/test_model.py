@@ -39,6 +39,16 @@ class TestSpanAnnotation:
             S(0, 1, -1)
 
 
+class TestCategory:
+    def test_rejects_negative_index(self):
+        with pytest.raises(ModelError, match=r"^category index must be non-negative, got -1$"):
+            Category(-1, "a")
+
+    def test_rejects_empty_name(self):
+        with pytest.raises(ModelError, match=r"^category name must be non-empty$"):
+            Category(0, "")
+
+
 class TestCategorySet:
     def test_dense_indices_required(self):
         with pytest.raises(ModelError):
@@ -47,6 +57,12 @@ class TestCategorySet:
     def test_unique_names_required(self):
         with pytest.raises(ModelError):
             CategorySet((Category(0, "a"), Category(1, "a")))
+
+    def test_lookup_by_index(self):
+        cats = make_categories(3)
+        assert cats[1] is cats.categories[1] and cats[1].name == "cat1"
+        with pytest.raises(IndexError):
+            cats[3]
 
     def test_lookup_by_name(self):
         cats = make_categories(3)
@@ -136,6 +152,16 @@ class TestDatasetAndCampaign:
         ex = Example(id="a", text="hello", task="generic")
         with pytest.raises(ModelError):
             Dataset(examples=(ex, ex), categories=make_categories())
+
+    def test_empty_id_rejected(self):
+        with pytest.raises(ModelError, match=r"^example id must be non-empty$"):
+            Example(id="", text="hello", task="generic")
+
+    def test_lookup_of_unknown_id_rejected(self):
+        dataset = Dataset((Example(id="a", text="hello"),), make_categories())
+        assert dataset["a"].text == "hello"
+        with pytest.raises(ModelError, match=r"^unknown example id 'b'$"):
+            dataset["b"]
 
     def test_empty_text_rejected(self):
         with pytest.raises(ModelError):

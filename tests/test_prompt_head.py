@@ -1,13 +1,13 @@
-"""`annotate_dataset` builds what every prompt of a run shares once: the
-prompt head and tail (`templates.prompt_head`, kept between calls) and
-the hash state of the config fields and the head (`runner._run_keyer`).
+"""`annotate_dataset` builds what the prompts of one task share once per
+run: the prompt head and tail (`templates.prompt_head`) and the hash
+state of the config fields and the head.
 
 These tests hold every cache key a run writes to `cache_key` of the
-prompt that `render_prompt` builds from scratch, with nothing kept from
-an earlier call. They cover every task and variant with blank and
-non-blank guidelines, back-to-back runs in one process that differ in
-one input only, a mixed-task corpus and concurrent workers. A head kept
-from an earlier run, where the arguments changed, fails them.
+prompt that `render_prompt` builds from scratch. They cover every task
+and variant with blank and non-blank guidelines, back-to-back runs in
+one process that differ in one input only, a mixed-task corpus and
+concurrent workers. A head kept from an earlier run, or from another
+task, fails them.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from spanagree.annotator import (
     CompletionResult,
     FewshotExample,
     PromptVariant,
+    TemplateError,
     annotate_dataset,
     cache_key,
     render_prompt,
@@ -72,7 +73,6 @@ def written_keys(dataset: Dataset, config: AnnotatorConfig, cache) -> dict[str, 
 def keys_from_scratch(dataset: Dataset, config: AnnotatorConfig) -> dict[str, str]:
     keys = {}
     for example in dataset.examples:
-        templates._last_head = (None, "", "")  # drop the head kept by the last call
         prompt = render_prompt(
             example, dataset.categories, dataset.guidelines, config.variant,
             config.fewshot_examples,
@@ -150,8 +150,7 @@ def test_equal_inputs_in_new_objects_give_the_same_keys(tmp_path):
 
 @pytest.mark.parametrize("concurrency", [1, 8])
 def test_mixed_task_corpus_keys_each_prompt_whole(concurrency, tmp_path):
-    # Examples of a task other than the first one's do not start with the
-    # run's head, so they are keyed from the whole prompt.
+    # Each task has a head, a tail and a key state of its own.
     examples = corpus("generic", 6) + corpus("mt", 6) + corpus("d2t", 6)
     dataset = Dataset(examples, CATEGORIES, "Mark clauses.")
     check_run(dataset, config_for(PromptVariant.COT, concurrency), tmp_path / "cache.jsonl")
@@ -166,8 +165,63 @@ def test_a_run_builds_its_head_once(monkeypatch, tmp_path):
         return original(categories)
 
     monkeypatch.setattr(templates, "format_categories", counting)
-    monkeypatch.setattr(templates, "_last_head", (None, "", ""))
     categories = CategorySet((Category(0, "Once", "Counted by the head test."),))
     dataset = Dataset(corpus("generic"), categories, "")
     annotate_dataset(dataset, config_for(PromptVariant.BASE), EmptyAdapter(), tmp_path / "c.jsonl")
     assert calls == [categories]
+
+
+def test_a_run_builds_each_task_head_once(monkeypatch, tmp_path):
+    calls = []
+    original = templates.format_categories
+
+    def counting(categories):
+        calls.append(categories)
+        return original(categories)
+
+    monkeypatch.setattr(templates, "format_categories", counting)
+    # In id order the tasks alternate, so every example switches task.
+    examples = tuple(
+        Example(id=f"e{i:02d}", text=f"text {i}", source=f'{{"n": {i}}}', task=task)
+        for i, task in enumerate(["mt", "d2t"] * 4)
+    )
+    dataset = Dataset(examples, CATEGORIES, "Mark clauses.")
+    keys = written_keys(dataset, config_for(PromptVariant.BASE), tmp_path / "c.jsonl")
+    assert len(calls) == 2
+    assert keys == keys_from_scratch(dataset, config_for(PromptVariant.BASE))
+
+
+class CountingAdapter(EmptyAdapter):
+    def __init__(self):
+        self.calls = 0
+
+    def complete(self, *args, **kwargs):
+        self.calls += 1
+        return super().complete(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "task,variant,shots,message",
+    [
+        pytest.param("mt", PromptVariant.FIVESHOT, SHOTS[:4],
+                     "fiveshot needs exactly 5 examples, got 4", id="fiveshot-four-shots"),
+        pytest.param("mt", PromptVariant.BASE, SHOTS,
+                     "variant base takes no few-shot examples", id="base-with-shots"),
+        pytest.param("d2t", PromptVariant.FIVESHOT,
+                     SHOTS[:2] + (FewshotExample("no data", "{}"),) + SHOTS[3:],
+                     "few-shot example 3 needs a 'data' field", id="d2t-shot-without-data"),
+    ],
+)
+@pytest.mark.parametrize("concurrency", [1, 8])
+def test_a_head_error_stops_the_run_before_any_request(
+    task, variant, shots, message, concurrency, tmp_path
+):
+    config = AnnotatorConfig(
+        model_id="head-model", variant=variant, fewshot_examples=shots,
+        concurrency_limit=concurrency,
+    )
+    adapter = CountingAdapter()
+    with pytest.raises(TemplateError, match=f"^{message}$"):
+        annotate_dataset(Dataset(corpus(task, 12), CATEGORIES, ""), config, adapter,
+                         tmp_path / "c.jsonl")
+    assert adapter.calls == 0
