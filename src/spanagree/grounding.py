@@ -19,6 +19,8 @@ _OPEN, _CLOSE = "<think>", "</think>"
 _DECODER = json.JSONDecoder()
 # A "{" starts an object only if '"' or "}" follows it after JSON whitespace.
 _OBJECT_START = re.compile(r'\{[ \t\n\r]*["}]')
+# What a brace count that skips strings and their escapes has to look at.
+_STRUCTURE = re.compile(r'[{}"\\]')
 
 
 class GroundingError(ValueError):
@@ -82,32 +84,81 @@ def split_reasoning(raw: str) -> tuple[str, str]:
     return "".join(kept), "\n".join(reasoning)
 
 
+def _closed_candidates(text: str, start: int, stop: int) -> list[tuple[int, int]]:
+    """Return ``(i, close + 1)`` for each ``{`` at ``i`` in
+    ``text[start:stop]`` that can start an object and has a ``}`` at
+    ``close`` that closes it, the last ``i`` first.
+
+    ``close`` is where a brace count started at ``i`` returns to zero,
+    counting no brace inside a string; a backslash inside a string
+    escapes the next character. A scan's string state depends on where it
+    starts, so one forward pass keeps a stack of pending ``{`` for the
+    scans outside a string and one for the scans inside one. A backslash
+    outside a string empties the outside stack, since no valid object
+    holds one there. So no scan is outside a string where a quote or
+    backslash is escaped for the scans inside one, the two stacks never
+    have to merge, and the pass is linear.
+    """
+    closed: list[tuple[int, int]] = []
+    outside: list[int] = []
+    quoted: list[int] = []
+    escaped = -1  # the position a backslash escapes for the scans in quoted
+    for match in _STRUCTURE.finditer(text, start, stop):
+        at = match.start()
+        char = text[at]
+        if char == "{":
+            outside.append(at)
+        elif char == "}":
+            if outside:
+                i = outside.pop()
+                if _OBJECT_START.match(text, i):
+                    closed.append((i, at + 1))
+        elif at == escaped:
+            pass  # escaped inside a string, just after a backslash emptied outside
+        elif char == '"':
+            outside, quoted = quoted, outside
+        else:
+            outside, escaped = [], at + 1
+    closed.sort(reverse=True)
+    return closed
+
+
 def extract_last_json_object(text: str) -> dict[str, Any]:
     """Return the last substring of ``text`` that parses as a complete
     top-level JSON object.
 
     Each ``{`` that can start an object is tried with the standard
-    decoder on the rest of the reply; a success resumes the search after
-    the object, a failure (including nesting too deep for the decoder) at
-    the next ``{``, so the interior of an invalid candidate is still
-    searched. A candidate holding a lone surrogate escape, which no UTF-8
-    output can write, fails too, as in ``ingest.decode_json``. Decoding a
-    slice keeps a failure's line and column count within the slice, but
-    each attempt still copies the rest of the reply. Raises
+    decoder; a success resumes the search after the object, a failure
+    (including nesting too deep for the decoder) at the next ``{``, so
+    the interior of an invalid candidate is still searched. A candidate
+    holding a lone surrogate escape, which no UTF-8 output can write,
+    fails too, as in ``ingest.decode_json``. The first candidate is
+    decoded on the rest of the reply, which is all a well-formed reply
+    needs. If another candidate follows it, ``_closed_candidates`` pairs
+    each later ``{`` with the ``}`` that closes it: a candidate without
+    one is skipped without a decode, and any other is decoded only up to
+    that ``}``, where a valid object starting there has to end; the
+    pass stops at the reply's last ``}``. Decoding a slice keeps a
+    failure's line and column count within the slice. Raises
     GroundingError if nothing parses.
     """
     last = None
+    end = 0
     match = _OBJECT_START.search(text)
-    while match:
-        i = match.start()
+    pending = [(match.start(), None)] if match else []
+    while pending:
+        i, limit = pending.pop()
+        if i < end:
+            continue
         try:
-            value, end = _DECODER.raw_decode(text[i:])
+            value, end = _DECODER.raw_decode(text[i:limit])
             end += i
             reject_lone_surrogates(text[i:end], value)
             last = value
         except (json.JSONDecodeError, RecursionError):
             end = i + 1
-        match = _OBJECT_START.search(text, end)
+        if limit is None and _OBJECT_START.search(text, end):
+            pending = _closed_candidates(text, end, text.rfind("}") + 1)
     if last is None:
         raise GroundingError("no parseable top-level JSON object in model output")
     return last

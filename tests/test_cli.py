@@ -8,6 +8,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -648,6 +649,32 @@ class TestLoneSurrogateInReply:
         captured = capsys.readouterr()
         assert "failed: 2 (ex01, ex03)" in captured.out and "Traceback" not in captured.err
         assert self.outputs(relative_run)[0]["ex01"]["failed"]
+
+
+class TestHostileReplyRetried:
+    # A reply packed with candidate objects and one closing brace: it took
+    # 1.6-1.8 s of CPU to reject on 2 vCPUs while every candidate decoded
+    # the rest of the reply.
+    HOSTILE_REPLY = '{"a": ' * 16_000 + "}"
+
+    def test_hostile_first_reply_is_retried_quickly(self, relative_run, capsys):
+        assert main(["annotate", "--config", str(relative_run)]) == 0
+        plain, _ = TestLoneSurrogateInReply.outputs(relative_run)
+        good = json.loads((relative_run.parent / "replies.jsonl").read_text().splitlines()[0])
+        assert good["example_id"] == "ex01"
+        shutil.rmtree(relative_run.parent / "out")
+        (relative_run.parent / "cache.jsonl").unlink()
+
+        TestLoneSurrogateInReply.set_replies(
+            relative_run, "ex01", [self.HOSTILE_REPLY, *good["replies"]])
+        capsys.readouterr()
+        started = time.process_time()
+        assert main(["annotate", "--config", str(relative_run)]) == 0
+        assert time.process_time() - started < 0.5
+        assert "failed: 1 (ex03)" in capsys.readouterr().out
+        campaign, traces = TestLoneSurrogateInReply.outputs(relative_run)
+        assert traces["ex01"]["retries"] == 1 and not traces["ex01"]["failed"]
+        assert campaign["ex01"] == plain["ex01"] and campaign["ex01"]["annotations"]
 
 
 class TestCommands:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 import time
 
@@ -17,6 +18,7 @@ from spanagree.grounding import (
     parse_annotation_payload,
     split_reasoning,
 )
+from spanagree.ingest import reject_lone_surrogates
 
 from conftest import make_dataset
 
@@ -73,6 +75,30 @@ def reference_extract_last_json_object(text: str):
                     continue
         i += 1
     if not found:
+        raise GroundingError("no parseable top-level JSON object in model output")
+    return last
+
+
+# The extractor before closing braces were paired: every candidate "{"
+# decodes the rest of the reply. It defines the expected outcome on any
+# input, including nesting too deep for the decoder.
+_OBJECT_START = re.compile(r'\{[ \t\n\r]*["}]')
+
+
+def reference_decode_rest_of_reply(text: str):
+    last = None
+    match = _OBJECT_START.search(text)
+    while match:
+        i = match.start()
+        try:
+            value, end = json.JSONDecoder().raw_decode(text[i:])
+            end += i
+            reject_lone_surrogates(text[i:end], value)
+            last = value
+        except (json.JSONDecodeError, RecursionError):
+            end = i + 1
+        match = _OBJECT_START.search(text, end)
+    if last is None:
         raise GroundingError("no parseable top-level JSON object in model output")
     return last
 
@@ -197,11 +223,51 @@ class TestExtractLastJson:
         )
 
 
+class TestPairedCandidates:
+    """Candidates after the first are decoded only up to the "}" that
+    closes them, found by one pass whose string state must not depend on
+    where it started."""
+
+    # The reply's first candidate fails, so the rest go through the pass.
+    FAILING = '{"x" '
+
+    @pytest.mark.parametrize("text, expected", [
+        ('He wrote "see {"annotations": []}', {"annotations": []}),
+        ('"{"a": 1}', {"a": 1}),
+        # an escaped quote or backslash inside a later candidate's string
+        ('{"b": "\\"}"}', {"b": '"}'}),
+        ('{"b": "\\\\"} {"c": "\\\\\\""}', {"c": '\\"'}),
+        # a backslash outside a string fails the candidates around it
+        ('{"a": \\ {"b": 1}}', {"b": 1}),
+        ('{"a": {"b": 1} \\ }', {"b": 1}),
+    ], ids=["quote-before-candidate", "leading-quote", "escaped-quote",
+            "escaped-backslashes", "backslash-outside-outer", "backslash-after-inner"])
+    @pytest.mark.parametrize("prefix", ["", FAILING], ids=["first", "after-failure"])
+    def test_candidate_a_scan_from_the_start_sees_in_a_string(self, prefix, text, expected):
+        assert extract_last_json_object(prefix + text) == expected
+        assert reference_decode_rest_of_reply(prefix + text) == expected
+
+    def test_too_deep_candidate_after_a_failure(self):
+        deep = '{"a": ' * 3000 + "1" + "}" * 3000
+        assert extract_last_json_object(self.FAILING + deep) == extract_last_json_object(deep)
+
+    TOKENS = ['"', "\\", '\\"', "\\\\", "\\ud800", '{"annotations": [', "]}", "\n",
+              '{"a":1}', "{", "}", ":", ",", "word", " ", '"a"', '"\\""', "1", "[", "]"]
+
+    def test_matches_rest_of_reply_reference_on_random_replies(self):
+        rng = random.Random(20251022)
+        for _ in range(20_000):
+            text = "".join(rng.choice(self.TOKENS) for _ in range(rng.randrange(1, 30)))
+            assert outcome(extract_last_json_object, text) == outcome(
+                reference_decode_rest_of_reply, text
+            ), text
+
+
 class TestHostileReplies:
     """Truncated or hostile replies must each finish well inside a
-    worker's budget. A ``{`` that cannot start an object is skipped
-    without a decode; each attempted one still copies the rest of the
-    reply."""
+    worker's budget. A ``{`` that cannot start an object, or that no
+    ``}`` closes, is skipped without a decode; any other after the first
+    decodes only up to its closing ``}``."""
 
     @pytest.mark.parametrize("text", [
         '{"a": ' * 8_000,
@@ -222,6 +288,20 @@ class TestHostileReplies:
         with pytest.raises(GroundingError, match="no parseable top-level JSON object"):
             extract_last_json_object(text)
         assert time.perf_counter() - started < 2.0
+
+    # Each took 0.9-1.8 s of CPU on 2 vCPUs while every candidate decoded
+    # the rest of the reply. CPU time, so that a host taking the vCPU away
+    # does not fail the bound.
+    @pytest.mark.parametrize("text", [
+        '{"a": ' * 16_000 + "}",
+        '{"x":[0,0,' * 4_800 + "}",
+        '{"' * 128_000 + "}",
+    ], ids=["96k-objects-one-close", "48k-nested-arrays-one-close", "256k-brace-quote-pairs-one-close"])
+    def test_closed_packed_replies_finish_fast(self, text):
+        started = time.process_time()
+        with pytest.raises(GroundingError, match="no parseable top-level JSON object"):
+            extract_last_json_object(text)
+        assert time.process_time() - started < 0.5
 
     def test_unclosed_think_tags_finish_fast(self):
         raw = "<think>" * 16_000  # 112k chars

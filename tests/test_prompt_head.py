@@ -149,7 +149,7 @@ def test_equal_inputs_in_new_objects_give_the_same_keys(tmp_path):
 
 
 @pytest.mark.parametrize("concurrency", [1, 8])
-def test_mixed_task_corpus_keys_each_prompt_whole(concurrency, tmp_path):
+def test_mixed_task_corpus_keys_each_task_from_its_own_state(concurrency, tmp_path):
     # Each task has a head, a tail and a key state of its own.
     examples = corpus("generic", 6) + corpus("mt", 6) + corpus("d2t", 6)
     dataset = Dataset(examples, CATEGORIES, "Mark clauses.")
